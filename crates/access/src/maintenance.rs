@@ -7,13 +7,16 @@
 //! reference \[5\]; the
 //! behaviour implemented here is the observable contract: after any sequence
 //! of inserts and deletes, the maintained indices are identical to indices
-//! rebuilt from scratch, and bound violations are handled per policy.
+//! rebuilt from scratch, and bound violations are handled per policy.  The
+//! cost contract is the paper's: a batch copies and repairs storage in
+//! proportion to its own rows and the buckets they fall in, not to `|D|`;
+//! [`MaintenanceOutcome::copied`] reports what each batch copied.
 
 use crate::conformance::{check_conformance, ConformanceReport};
 use crate::indexes::AccessIndexes;
 use crate::schema::AccessSchema;
 use beas_common::{BeasError, Result, Row};
-use beas_storage::Database;
+use beas_storage::{CopyStats, Database};
 
 /// What to do when an insert would violate a cardinality bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +38,10 @@ pub struct MaintenanceOutcome {
     pub adjusted: Vec<(String, u64)>,
     /// Constraints flagged as violated (id, observed cardinality).
     pub flagged: Vec<(String, u64)>,
+    /// What the batch copied because the storage it wrote was shared with
+    /// another generation: table segments opened and merged and rows
+    /// copied, index shards and buckets cloned.  Proportional to the batch.
+    pub copied: CopyStats,
 }
 
 /// Incremental maintainer of an access schema and its indices.
@@ -47,6 +54,22 @@ impl Default for Maintainer {
     fn default() -> Self {
         Maintainer::new(MaintenancePolicy::Strict)
     }
+}
+
+/// Copy-on-write work done so far by `table` and by its constraint indices.
+fn copy_stats(
+    db: &Database,
+    schema: &AccessSchema,
+    indexes: &AccessIndexes,
+    table: &str,
+) -> Result<CopyStats> {
+    let mut total = db.table(table)?.copy_stats();
+    for c in schema.for_table(table) {
+        if let Some(idx) = indexes.for_constraint(c) {
+            total += idx.copy_stats();
+        }
+    }
+    Ok(total)
 }
 
 impl Maintainer {
@@ -62,8 +85,12 @@ impl Maintainer {
 
     /// Insert rows into `table`, updating every affected constraint index.
     ///
-    /// Under [`MaintenancePolicy::Strict`] the whole batch is rejected (and
-    /// nothing is inserted) if any row would break a cardinality bound.
+    /// The batch is all-or-nothing: an invalid row rejects it, and under
+    /// [`MaintenancePolicy::Strict`] so does any row that would break a
+    /// cardinality bound.  Rows are coerced to the table's column types
+    /// once; each constraint then decides conformance from the batch and
+    /// the buckets it touches, so the cost is O(batch × bucket) whatever
+    /// the size of the table.
     pub fn insert_rows(
         &self,
         db: &mut Database,
@@ -73,89 +100,60 @@ impl Maintainer {
         rows: Vec<Row>,
     ) -> Result<MaintenanceOutcome> {
         let table = table.to_ascii_lowercase();
-        let mut outcome = MaintenanceOutcome::default();
+        let batch = db.table(&table)?.coerce_batch(rows)?;
+        let mut outcome = MaintenanceOutcome {
+            rows_affected: batch.rows().len(),
+            ..Default::default()
+        };
 
-        // Pre-validate under Strict: simulate the index updates on clones.
-        // Index clones are copy-on-write (shared hash shards), so the probe
-        // costs O(shards the batch touches), not O(index).
-        if self.policy == MaintenancePolicy::Strict {
-            for c in schema.for_table(&table) {
-                if let Some(idx) = indexes.for_constraint(c) {
-                    let mut probe = idx.clone();
-                    // Rows must be validated/coerced the same way Table::insert
-                    // does, otherwise key comparison may differ.
-                    let tbl = db.table(&table)?;
-                    for row in &rows {
-                        tbl.validate_row(row)?;
-                        let coerced: Row = row
-                            .iter()
-                            .zip(&tbl.schema().columns)
-                            .map(|(v, col)| {
-                                if v.is_null() {
-                                    Ok(v.clone())
-                                } else {
-                                    v.cast(col.data_type)
-                                }
-                            })
-                            .collect::<Result<_>>()?;
-                        probe.add_row(&coerced);
-                    }
-                    if !probe.conforms_to(c.n) {
-                        return Err(BeasError::conformance(format!(
-                            "insert into {table:?} would violate {c} (observed {})",
-                            probe.observed_max_cardinality()
-                        )));
-                    }
+        // Bounds the batch would break, decided before anything is written.
+        let mut exceeded: Vec<(String, u64)> = Vec::new();
+        for c in schema.for_table(&table) {
+            if let Some(idx) = indexes.for_constraint(c) {
+                let observed = idx.max_cardinality_with(batch.rows()) as u64;
+                if observed <= c.n {
+                    continue;
                 }
+                if self.policy == MaintenancePolicy::Strict {
+                    return Err(BeasError::conformance(format!(
+                        "insert into {table:?} would violate {c} (observed {observed})"
+                    )));
+                }
+                exceeded.push((c.id(), observed));
             }
         }
-
-        // Apply the inserts and incrementally update the indices.
-        let constraint_ids: Vec<(String, u64)> = schema
-            .for_table(&table)
-            .iter()
-            .map(|c| (c.id(), c.n))
-            .collect();
-        for row in rows {
-            let id = db.insert(&table, row)?;
-            let inserted = db.table(&table)?.row(id).cloned().ok_or_else(|| {
-                BeasError::storage("inserted row disappeared during maintenance".to_string())
-            })?;
-            outcome.rows_affected += 1;
-            for (cid, bound) in &constraint_ids {
-                if let Some(idx) = indexes.get_mut(cid) {
-                    idx.add_row(&inserted);
-                    if idx.observed_max_cardinality() as u64 > *bound {
-                        match self.policy {
-                            MaintenancePolicy::Strict => unreachable!("pre-validated above"),
-                            MaintenancePolicy::AutoAdjust => {
-                                let new_bound = idx.observed_max_cardinality() as u64;
-                                if let Some(c) = schema_constraint_mut(schema, cid) {
-                                    c.n = new_bound;
-                                }
-                                record_once(&mut outcome.adjusted, cid, new_bound);
-                            }
-                            MaintenancePolicy::Flag => {
-                                record_once(
-                                    &mut outcome.flagged,
-                                    cid,
-                                    idx.observed_max_cardinality() as u64,
-                                );
-                            }
-                        }
+        match self.policy {
+            MaintenancePolicy::Strict => {}
+            MaintenancePolicy::AutoAdjust => {
+                for (id, observed) in &exceeded {
+                    if let Some(c) = schema.get_mut(id) {
+                        c.n = *observed;
                     }
                 }
+                outcome.adjusted = exceeded;
+            }
+            MaintenancePolicy::Flag => outcome.flagged = exceeded,
+        }
+
+        let before = copy_stats(db, schema, indexes, &table)?;
+        for c in schema.for_table(&table) {
+            if let Some(idx) = indexes.get_mut(&c.id()) {
+                batch.rows().iter().for_each(|row| idx.add_row(row));
             }
         }
+        // cannot fail: the table exists, it coerced the batch
+        db.table_mut(&table)?.append(batch);
+        outcome.copied = copy_stats(db, schema, indexes, &table)? - before;
         Ok(outcome)
     }
 
     /// Delete rows matching `predicate` from `table`, updating indices.
     ///
-    /// Index repair is restricted to the buckets whose `X`-key appears among
-    /// the removed rows: each affected constraint rebuilds only those
-    /// buckets in one pass over the post-deletion table, without cloning the
-    /// remaining rows.
+    /// Every row of the table is tested against the predicate; what is
+    /// copied and repaired is proportional to the rows removed: the table
+    /// rebuilds only segments holding a match, and each constraint index
+    /// decrements the counts of the removed rows' entries without looking
+    /// at the table.
     pub fn delete_rows(
         &self,
         db: &mut Database,
@@ -165,17 +163,16 @@ impl Maintainer {
         predicate: impl FnMut(&Row) -> bool,
     ) -> Result<MaintenanceOutcome> {
         let table = table.to_ascii_lowercase();
+        let before = copy_stats(db, schema, indexes, &table)?;
         let removed = db.table_mut(&table)?.delete_where(predicate);
-        if !removed.is_empty() {
-            let t = db.table(&table)?;
-            for c in schema.for_table(&table) {
-                if let Some(idx) = indexes.get_mut(&c.id()) {
-                    idx.remove_rows(removed.iter().map(|(_, row)| row), t);
-                }
+        for c in schema.for_table(&table) {
+            if let Some(idx) = indexes.get_mut(&c.id()) {
+                idx.remove_rows(removed.iter().map(|(_, row)| row));
             }
         }
         Ok(MaintenanceOutcome {
             rows_affected: removed.len(),
+            copied: copy_stats(db, schema, indexes, &table)? - before,
             ..Default::default()
         })
     }
@@ -202,7 +199,7 @@ impl Maintainer {
         for entry in report.entries {
             let new_n = ((entry.observed_max as f64 * headroom).ceil() as u64).max(1);
             let id = entry.constraint.id();
-            if let Some(c) = schema_constraint_mut(schema, &id) {
+            if let Some(c) = schema.get_mut(&id) {
                 if c.n != new_n {
                     changes.push((id, c.n, new_n));
                     c.n = new_n;
@@ -211,20 +208,6 @@ impl Maintainer {
         }
         Ok(changes)
     }
-}
-
-fn record_once(list: &mut Vec<(String, u64)>, id: &str, value: u64) {
-    match list.iter_mut().find(|(i, _)| i == id) {
-        Some(entry) => entry.1 = entry.1.max(value),
-        None => list.push((id.to_string(), value)),
-    }
-}
-
-fn schema_constraint_mut<'a>(
-    schema: &'a mut AccessSchema,
-    id: &str,
-) -> Option<&'a mut crate::constraint::AccessConstraint> {
-    schema.get_mut(id)
 }
 
 #[cfg(test)]
@@ -441,6 +424,127 @@ mod tests {
             .unwrap();
         assert_eq!(indexes.get(&id).unwrap().total_entries(), 0);
         assert_eq!(indexes.get(&id).unwrap().observed_max_cardinality(), 0);
+    }
+
+    #[test]
+    fn rows_sharing_a_partial_tuple_are_counted_and_deleted_one_at_a_time() {
+        let (mut db, mut schema, mut indexes) = setup();
+        let m = Maintainer::default();
+        let id = schema.constraints()[0].id();
+        // three more base rows behind the existing (p1, 07-04) -> a entry:
+        // the bucket does not grow, so the bound of 3 is not in play
+        let out = m
+            .insert_rows(
+                &mut db,
+                &mut schema,
+                &mut indexes,
+                "call",
+                vec![row("p1", "a"), row("p1", "a"), row("p1", "a")],
+            )
+            .unwrap();
+        assert_eq!(out.rows_affected, 3);
+        assert_eq!(indexes.get(&id).unwrap().total_entries(), 3);
+        for remaining in (0..4).rev() {
+            let mut done = false;
+            let out = m
+                .delete_rows(&mut db, &schema, &mut indexes, "call", |r| {
+                    let hit = !done && r[0] == Value::str("p1") && r[1] == Value::str("a");
+                    done |= hit;
+                    hit
+                })
+                .unwrap();
+            assert_eq!(out.rows_affected, 1);
+            let maintained = indexes.get(&id).unwrap();
+            maintained
+                .check_against_table(db.table("call").unwrap())
+                .unwrap();
+            // the partial tuple stays fetchable until its last base row goes
+            assert_eq!(
+                maintained.total_entries(),
+                if remaining > 0 { 3 } else { 2 }
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_with_an_invalid_row_inserts_nothing_under_any_policy() {
+        for policy in [
+            MaintenancePolicy::Strict,
+            MaintenancePolicy::AutoAdjust,
+            MaintenancePolicy::Flag,
+        ] {
+            let (mut db, mut schema, mut indexes) = setup();
+            let bad = vec![Value::str("p9"), Value::Int(7), Value::str("2016-07-04")];
+            let err = Maintainer::new(policy)
+                .insert_rows(
+                    &mut db,
+                    &mut schema,
+                    &mut indexes,
+                    "call",
+                    vec![row("p9", "a"), bad],
+                )
+                .unwrap_err();
+            assert_eq!(err.kind(), "storage");
+            assert_eq!(db.table("call").unwrap().row_count(), 3);
+            let id = schema.constraints()[0].id();
+            indexes
+                .get(&id)
+                .unwrap()
+                .check_against_table(db.table("call").unwrap())
+                .unwrap();
+        }
+    }
+
+    #[test]
+    fn outcome_reports_what_a_batch_on_a_fork_copied() {
+        let (db, schema, indexes) = setup();
+        let m = Maintainer::default();
+        // an unshared system copies nothing to take a write ...
+        let (mut own_db, mut own_schema, mut own_indexes) =
+            (db.clone(), schema.clone(), indexes.clone());
+        drop((db, indexes));
+        let out = m
+            .insert_rows(
+                &mut own_db,
+                &mut own_schema,
+                &mut own_indexes,
+                "call",
+                vec![row("p2", "b")],
+            )
+            .unwrap();
+        assert_eq!(out.copied, CopyStats::default());
+        // ... a fork of it copies one shard's handles and the one bucket the
+        // row falls in, and opens a segment instead of copying the tail
+        let (mut fork_db, mut fork_schema, mut fork_indexes) =
+            (own_db.clone(), own_schema.clone(), own_indexes.clone());
+        let out = m
+            .insert_rows(
+                &mut fork_db,
+                &mut fork_schema,
+                &mut fork_indexes,
+                "call",
+                vec![row("p2", "c")],
+            )
+            .unwrap();
+        assert_eq!(
+            out.copied,
+            CopyStats {
+                segments_opened: 1,
+                shards_cloned: 1,
+                buckets_cloned: 1,
+                ..CopyStats::default()
+            }
+        );
+        // deleting that row again drops the private segment: nothing more
+        // is copied, the shard and bucket are already the fork's own
+        let out = m
+            .delete_rows(&mut fork_db, &schema, &mut fork_indexes, "call", |r| {
+                r[1] == Value::str("c")
+            })
+            .unwrap();
+        assert_eq!(out.rows_affected, 1);
+        assert_eq!(out.copied, CopyStats::default());
+        assert_eq!(own_db.table("call").unwrap().row_count(), 4);
     }
 
     #[test]

@@ -11,25 +11,6 @@ use beas_engine::{Engine, ExecProfile, OptimizerProfile, ParallelConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// A single-table BEAS system of `rows` rows with one access constraint,
-/// so maintenance batches exercise the full copy-on-write write path:
-/// segment-tail append, index shard repair, and the conformance probe.
-/// The constraint keys on the high-cardinality `id` column — buckets stay
-/// small and the extendible-hashing shards stay bounded, so a batch copies
-/// O(shards touched × shard bound) no matter how large the table is.
-fn maintenance_system(rows: i64) -> beas_core::BeasSystem {
-    use beas_access::{AccessConstraint, AccessSchema};
-    let db = parallel_scan_db(rows);
-    let schema = AccessSchema::from_constraints(vec![AccessConstraint::new(
-        "big",
-        &["id"],
-        &["v", "tag"],
-        256,
-    )
-    .unwrap()]);
-    beas_core::BeasSystem::with_schema(db, schema).unwrap()
-}
-
 /// A single wide table big enough to split into several morsels
 /// (4 × `MORSEL_ROWS` at the default granularity), for the parallel-scan
 /// scaling benches.
@@ -294,26 +275,6 @@ fn micro(c: &mut Criterion) {
         });
     }
 
-    // Maintenance batches under structural sharing: the same fixed 64-row
-    // insert batch (full index maintenance included) over systems 64×
-    // apart in size.  Near-equal timings document that write cost tracks
-    // the batch, not |D| — untouched row segments and index shards are
-    // shared with the previous generation, never copied.
-    for (label, rows) in [
-        ("maintenance_batch_1krows", 1_000i64),
-        ("maintenance_batch_64krows", 64 * 1024),
-    ] {
-        let mut sys = maintenance_system(rows);
-        // All 64 rows land on one index key (id = -1) with distinct
-        // Y-values, so every batch repairs exactly one bucket in one
-        // copied shard — the per-batch unit of copy-on-write work.
-        let batch: Vec<beas_common::Row> = (0..64)
-            .map(|i| vec![Value::Int(-1), Value::Int(i), Value::str("maint")])
-            .collect();
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(sys.insert_rows("big", batch.clone()).unwrap().rows_affected))
-        });
-    }
     // Publishing a snapshot is an O(handles) structural clone: its cost is
     // independent of how many rows or index entries the system holds.
     group.bench_function("fork_publish", |b| {

@@ -82,10 +82,23 @@ pub struct CheckReport {
     pub coverage: CoverageResult,
 }
 
+/// What a [`PreparedQuery`] is a function of: the catalog (which tables
+/// exist, with which columns) and the access schema (constraints and their
+/// bounds).  Rows are not part of it.  Both halves are lineage-unique
+/// stamps, so within the forks of one system equal epochs mean the same
+/// catalog and the same access schema.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SchemaEpoch {
+    /// [`Database::catalog_epoch`]: moved by create/drop table.
+    catalog: u64,
+    /// Moved by every change to a constraint or a bound.
+    access: u64,
+}
+
 /// A fully prepared query — the output of parse → bind → graph → check →
-/// plan, pinned at the database write generation it was computed against.
-/// Cached entries are shared (`Arc`), so a cache hit costs one hash lookup
-/// and no cloning.
+/// plan, stamped with the schema epoch it was computed under.  Cached
+/// entries are shared (`Arc`), so a cache hit costs one hash lookup and no
+/// cloning.
 ///
 /// The struct is deliberately opaque: callers obtain one from
 /// [`BeasSystem::prepare`] and hand it back to
@@ -95,16 +108,7 @@ pub struct CheckReport {
 /// acquisition serves a whole admission → execution round trip.
 #[derive(Debug)]
 pub struct PreparedQuery {
-    /// `Database::generation()` at preparation time.  Used only to order
-    /// entries in time (eviction policy); *liveness* is decided by the
-    /// per-table read set below.
-    generation: u64,
-    /// Every table the query reads, pinned at that table's write
-    /// generation.  Generation equality implies identical table contents
-    /// (generations are lineage-unique), so an entry stays live — and is
-    /// served as a cache hit — as long as none of *its* tables moved, no
-    /// matter how many writes landed elsewhere in the database.
-    read_set: Vec<(String, u64)>,
+    epoch: SchemaEpoch,
     query: BoundQuery,
     graph: QueryGraph,
     coverage: CoverageResult,
@@ -123,40 +127,24 @@ impl PreparedQuery {
     pub fn deduced_bound(&self) -> Option<u64> {
         self.plan.as_ref().map(|p| p.total_bound)
     }
-
-    /// The tables the query reads, each pinned at the per-table write
-    /// generation it was prepared against.
-    pub fn read_set(&self) -> &[(String, u64)] {
-        &self.read_set
-    }
-}
-
-/// The tables `query` reads (deduplicated), each pinned at its current
-/// per-table write generation.
-fn read_set_of(db: &Database, query: &BoundQuery) -> Vec<(String, u64)> {
-    let mut set: Vec<(String, u64)> = Vec::new();
-    for t in &query.tables {
-        let name = t.table.to_ascii_lowercase();
-        if set.iter().any(|(n, _)| *n == name) {
-            continue;
-        }
-        let table_generation = db.table_generation(&name).unwrap_or(0);
-        set.push((name, table_generation));
-    }
-    set
 }
 
 /// Keyed plan cache: normalized SQL text → prepared query.
 ///
 /// TLC-style workloads repeat a handful of query shapes endlessly; without
 /// the cache every submission re-runs parse → bind → check → plan
-/// (`budget_check_q1` in `BENCH_micro.json` shows that cost).  Entries are
-/// validated against the database write generation on every lookup, so
-/// maintenance writes (inserts/deletes through the [`Maintainer`])
-/// invalidate them without any explicit hook.
+/// (`budget_check_q1` in `BENCH_micro.json` shows that cost).  A prepared
+/// query depends on the catalog and the access schema only, so an entry is
+/// valid for as long as the [`SchemaEpoch`] it was prepared under stands:
+/// data writes invalidate nothing (execution reads the rows and indices of
+/// the snapshot it runs on, never the cache), while DDL and constraint or
+/// bound changes invalidate every entry.
 #[derive(Debug, Default)]
 struct PlanCache {
     entries: Mutex<HashMap<String, Arc<PreparedQuery>>>,
+    /// Allocator of access-schema epochs, shared by every fork that shares
+    /// the cache so that forks diverging independently never reuse one.
+    access_epochs: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -167,49 +155,28 @@ struct PlanCache {
 const PLAN_CACHE_CAP: usize = 256;
 
 impl PlanCache {
-    /// Fetch a live entry for `key`, counting the lookup.  Liveness is a
-    /// *read-set* check: the entry is served as a hit when every table it
-    /// reads still sits at the per-table generation it was prepared
-    /// against — a write batch that never touched the entry's tables keeps
-    /// it live, no matter how far the database-wide generation advanced.
-    /// A mismatched entry is evicted and counted as an invalidation only
-    /// when it is *older* than the caller's database; an entry *newer*
-    /// than the caller — the caller is a reader pinned on an old snapshot
-    /// while the cache has moved on — is left in place for the
-    /// current-generation sessions and merely misses.
-    fn lookup(&self, key: &str, db: &Database) -> Option<Arc<PreparedQuery>> {
+    /// Fetch the entry for `key` if it was prepared under `epoch`, counting
+    /// the lookup.  An entry from another epoch is evicted and counted as
+    /// an invalidation; the caller's re-prepared entry replaces it.
+    fn lookup(&self, key: &str, epoch: SchemaEpoch) -> Option<Arc<PreparedQuery>> {
         let mut entries = self.entries.lock().expect("plan cache lock");
-        let Some(entry) = entries.get(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        };
-        let live = entry
-            .read_set
-            .iter()
-            .all(|(table, table_generation)| db.table_generation(table) == Some(*table_generation));
-        if live {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(Arc::clone(entry));
-        }
-        if entry.generation < db.generation() {
-            entries.remove(key);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        match entries.get(key) {
+            Some(entry) if entry.epoch == epoch => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Some(Arc::clone(entry));
+            }
+            Some(_) => {
+                entries.remove(key);
+                self.invalidations.fetch_add(1, Ordering::Relaxed);
+            }
+            None => {}
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Insert `entry`, never replacing a strictly newer one: a reader on an
-    /// old snapshot re-preparing a shape must not evict the entry the
-    /// current-generation sessions are hitting (that ping-pong would turn
-    /// one old in-flight query into a miss-per-query for everyone).
     fn insert(&self, key: String, entry: Arc<PreparedQuery>) {
         let mut entries = self.entries.lock().expect("plan cache lock");
-        if let Some(existing) = entries.get(&key) {
-            if existing.generation > entry.generation {
-                return;
-            }
-        }
         if entries.len() >= PLAN_CACHE_CAP {
             entries.clear();
         }
@@ -293,11 +260,14 @@ pub struct BeasSystem {
     indexes: AccessIndexes,
     fallback: Engine,
     /// Shared across [`BeasSystem::fork`]ed copies: forks of one lineage
-    /// serve one logical cache (entries are validated against the
-    /// per-table generations in their read set, so a fork at an older
-    /// generation never serves a newer snapshot's plan or vice versa) and
-    /// its counters aggregate across all of them.
+    /// serve one logical cache (entries are validated against the schema
+    /// epoch they were prepared under, so a fork whose access schema or
+    /// catalog diverged never serves another's plan) and its counters
+    /// aggregate across all of them.
     plan_cache: Arc<PlanCache>,
+    /// Stamp of this system's access schema, drawn from the shared cache's
+    /// allocator whenever a constraint or a bound changes.
+    access_epoch: u64,
     maintenance_policy: MaintenancePolicy,
     fetch_config: FetchConfig,
     reduction_min_savings: f64,
@@ -313,6 +283,7 @@ impl BeasSystem {
             indexes,
             fallback: Engine::new(OptimizerProfile::PgLike),
             plan_cache: Arc::new(PlanCache::default()),
+            access_epoch: 0,
             maintenance_policy: MaintenancePolicy::Strict,
             fetch_config: FetchConfig::default(),
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
@@ -321,22 +292,24 @@ impl BeasSystem {
 
     /// A copy-on-write fork: clones the database, access schema and indices
     /// *structurally* — tables are `Arc`-shared row segments and constraint
-    /// indices `Arc`-shared hash shards, so the fork costs O(tables +
-    /// segment handles), not O(rows); a subsequent write to either copy
-    /// copies only the segment or shard it touches.  The plan cache is
-    /// *shared*, so cached prepared queries and their hit/miss counters
-    /// survive across forks of one system lineage.  This is the snapshot
-    /// primitive of `beas_service`: a writer forks the current snapshot,
-    /// applies a maintenance batch to the fork (paying only for the rows
-    /// the batch moves), and publishes it; readers keep executing against
-    /// the old snapshot until the swap, and the old generation's private
-    /// segments are freed when its last reader drops.
+    /// indices `Arc`-shared hash shards of `Arc`-shared buckets, so the
+    /// fork costs O(tables + segment handles), not O(rows); a subsequent
+    /// write to either copy never touches what the other can see: it opens
+    /// a new tail segment and copies only the buckets it changes.  The plan
+    /// cache is *shared*, so cached prepared queries and their hit/miss
+    /// counters survive across forks of one system lineage.  This is the
+    /// snapshot primitive of `beas_service`: a writer forks the current
+    /// snapshot, applies a maintenance batch to the fork (paying only for
+    /// the rows the batch moves), and publishes it; readers keep executing
+    /// against the old snapshot until the swap, and what the old generation
+    /// alone still holds — itself proportional to the batch — is freed when
+    /// its last reader drops.
     ///
     /// Sharing the cache across forks is sound even if several forks are
-    /// mutated independently: clones of one [`Database`] draw their write
-    /// generations from a lineage-shared allocator, so two forks can never
-    /// reach the same generation with different contents — a cached entry's
-    /// generation identifies exactly one database state.
+    /// mutated independently: a cached entry answers only a system at the
+    /// schema epoch it was prepared under, and both halves of the epoch are
+    /// drawn from lineage-shared allocators, so two forks can never reach
+    /// the same epoch with different catalogs or access schemas.
     pub fn fork(&self) -> BeasSystem {
         BeasSystem {
             db: self.db.clone(),
@@ -344,6 +317,7 @@ impl BeasSystem {
             indexes: self.indexes.clone(),
             fallback: self.fallback,
             plan_cache: Arc::clone(&self.plan_cache),
+            access_epoch: self.access_epoch,
             maintenance_policy: self.maintenance_policy,
             fetch_config: self.fetch_config,
             reduction_min_savings: self.reduction_min_savings,
@@ -470,9 +444,8 @@ impl BeasSystem {
 
     /// Prepare `sql` — parse → bind → graph → coverage check → bounded plan
     /// — through the keyed plan cache.  Repeated submissions of the same
-    /// (normalized) SQL reuse the cached result as long as every table the
-    /// query reads is unchanged (per-table generation match); a write to
-    /// one of those tables evicts the stale entry and re-prepares.
+    /// (normalized) SQL reuse the cached result for as long as the catalog
+    /// and the access schema stand; data writes do not re-prepare anything.
     ///
     /// Public so a service can acquire the prepared query *once* per
     /// submission and thread the same `Arc` through admission
@@ -489,10 +462,16 @@ impl BeasSystem {
     /// the shared cache counters against concurrent sessions.
     pub fn prepare_traced(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
         let key = normalize_sql(sql);
-        if let Some(entry) = self.plan_cache.lookup(&key, &self.db) {
+        if let Some(entry) = self.plan_cache.lookup(&key, self.schema_epoch()) {
             return Ok((entry, true));
         }
-        let query = self.bind(sql)?;
+        let entry = Arc::new(self.prepare_bound(self.bind(sql)?)?);
+        self.plan_cache.insert(key, Arc::clone(&entry));
+        Ok((entry, false))
+    }
+
+    /// Graph → coverage check → bounded plan for a bound query.
+    fn prepare_bound(&self, query: BoundQuery) -> Result<PreparedQuery> {
         let graph = QueryGraph::build(&query)?;
         let coverage = Checker::new(&self.schema).check(&query, &graph);
         let plan = if coverage.covered {
@@ -500,16 +479,31 @@ impl BeasSystem {
         } else {
             None
         };
-        let entry = Arc::new(PreparedQuery {
-            generation: self.db.generation(),
-            read_set: read_set_of(&self.db, &query),
+        Ok(PreparedQuery {
+            epoch: self.schema_epoch(),
             query,
             graph,
             coverage,
             plan,
-        });
-        self.plan_cache.insert(key, Arc::clone(&entry));
-        Ok((entry, false))
+        })
+    }
+
+    /// The epoch a query prepared by this system is stamped with.
+    fn schema_epoch(&self) -> SchemaEpoch {
+        SchemaEpoch {
+            catalog: self.db.catalog_epoch(),
+            access: self.access_epoch,
+        }
+    }
+
+    /// Move to a fresh access-schema epoch: every plan prepared so far
+    /// stops answering this system (and its future forks).
+    fn bump_access_epoch(&mut self) {
+        self.access_epoch = self
+            .plan_cache
+            .access_epochs
+            .fetch_add(1, Ordering::Relaxed)
+            + 1;
     }
 
     /// Hit/miss/invalidation counters of the plan cache.
@@ -517,9 +511,10 @@ impl BeasSystem {
         self.plan_cache.stats()
     }
 
-    /// Drop every cached plan (maintenance that changes the *access schema*
-    /// — e.g. bound adjustment — calls this; data writes are caught by the
-    /// write-generation check instead).
+    /// Drop every cached plan, for callers that want the next submission of
+    /// each shape to pay for preparation again.  Never needed for
+    /// correctness: schema changes move the epoch, data writes leave plans
+    /// valid.
     pub fn clear_plan_cache(&self) {
         self.plan_cache.clear();
     }
@@ -716,21 +711,7 @@ impl BeasSystem {
     /// Execute an already-bound query (bypasses the plan cache — the query
     /// was bound outside the system, so there is no SQL text to key on).
     pub fn execute_bound_query(&self, query: &BoundQuery) -> Result<ExecutionOutcome> {
-        let graph = QueryGraph::build(query)?;
-        let coverage = Checker::new(&self.schema).check(query, &graph);
-        let plan = if coverage.covered {
-            Some(generate_bounded_plan(query, &graph, &coverage)?)
-        } else {
-            None
-        };
-        let prepared = PreparedQuery {
-            generation: self.db.generation(),
-            read_set: read_set_of(&self.db, query),
-            query: query.clone(),
-            graph,
-            coverage,
-            plan,
-        };
+        let prepared = self.prepare_bound(query.clone())?;
         self.execute_prepared(&prepared, None)
     }
 
@@ -819,9 +800,10 @@ impl BeasSystem {
     }
 
     /// Insert rows through the maintenance module: the base table and every
-    /// affected constraint index are updated together, and the write bumps
-    /// the database generation, so cached plans for this system re-prepare
-    /// on their next use.
+    /// affected constraint index are updated together.  The write bumps the
+    /// database generation; cached plans stay valid (they depend on the
+    /// schema, not on rows) unless the batch made
+    /// [`MaintenancePolicy::AutoAdjust`] raise a bound.
     ///
     /// # Example
     ///
@@ -844,8 +826,8 @@ impl BeasSystem {
     /// )?]);
     /// let mut system = BeasSystem::with_schema(db, schema)?;
     ///
-    /// // The write maintains the constraint index and invalidates cached
-    /// // plans, so the next query sees the new row through a bounded fetch.
+    /// // The write maintains the constraint index, so the next query sees
+    /// // the new row through a bounded fetch.
     /// system.insert_rows("call", vec![vec![Value::str("p2"), Value::str("r9")]])?;
     /// let outcome = system.execute_sql("SELECT recnum FROM call WHERE pnum = 'p2'")?;
     /// assert_eq!(outcome.rows, vec![vec![Value::str("r9")]]);
@@ -861,16 +843,16 @@ impl BeasSystem {
             rows,
         )?;
         // AutoAdjust may have raised constraint bounds, which changes
-        // deduced plan bounds — drop the entries rather than serve them.
+        // deduced plan bounds.
         if !outcome.adjusted.is_empty() {
-            self.clear_plan_cache();
+            self.bump_access_epoch();
         }
         Ok(outcome)
     }
 
     /// Delete the rows of `table` matching `predicate`, keeping every
     /// affected constraint index consistent.  Bumps the database
-    /// generation, invalidating cached plans.
+    /// generation; cached plans stay valid.
     ///
     /// # Example
     ///
@@ -918,19 +900,19 @@ impl BeasSystem {
 
     /// Tighten (or relax) every constraint bound to the observed
     /// cardinality times `headroom`.  Changes deduced plan bounds, so the
-    /// plan cache is cleared (the data itself did not move, hence no
-    /// generation bump to catch it).
+    /// access-schema epoch moves and every cached plan is invalidated.
     pub fn adjust_bounds(&mut self, headroom: f64) -> Result<Vec<(String, u64, u64)>> {
         let maintainer = Maintainer::new(self.maintenance_policy);
         let changes = maintainer.adjust_bounds(&self.db, &mut self.schema, headroom)?;
         if !changes.is_empty() {
-            self.clear_plan_cache();
+            self.bump_access_epoch();
         }
         Ok(changes)
     }
 
-    /// Mutable access to the underlying database for bulk loads.  Any
-    /// mutation bumps the write generation (invalidating cached plans), but
+    /// Mutable access to the underlying database for bulk loads and DDL.
+    /// Any mutation bumps the write generation, and create/drop table also
+    /// moves the catalog epoch (invalidating cached plans), but all of it
     /// bypasses index maintenance — call [`BeasSystem::rebuild_indexes`]
     /// afterwards, or use [`BeasSystem::insert_rows`] /
     /// [`BeasSystem::delete_rows`] for incrementally maintained writes.
@@ -1059,14 +1041,14 @@ impl BeasSystem {
     /// step.
     ///
     /// Plan-cache checks (the cache is shared across forks, so entries may
-    /// be newer *or* older than this system's snapshot):
+    /// belong to another fork's schema epoch):
     /// 1. the cache respects its capacity bound,
     /// 2. cache keys are normalized SQL (normalization is idempotent),
     /// 3. an entry caches a plan exactly when its coverage check passed,
-    /// 4. a *live* entry — every read-set table still at the generation it
-    ///    was prepared against — re-derives the identical read set from its
-    ///    bound query, so a cache hit can never serve a plan whose table
-    ///    set drifted.
+    /// 4. an entry at this system's epoch — one a lookup here would serve —
+    ///    re-prepares to the same coverage verdict and deduced bound against
+    ///    this system's catalog and access schema, however many data writes
+    ///    happened since it was cached.
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn check_invariants(&self) -> Result<()> {
         self.db.check_invariants()?;
@@ -1099,14 +1081,18 @@ impl BeasSystem {
                     "entry {key:?} caches a plan but its coverage check disagrees"
                 ));
             }
-            let live = entry
-                .read_set
-                .iter()
-                .all(|(t, g)| self.db.table_generation(t) == Some(*g));
-            if live && read_set_of(&self.db, &entry.query) != entry.read_set {
-                return fail(format!(
-                    "live entry {key:?} re-derives a different read set than it caches"
-                ));
+            if entry.epoch == self.schema_epoch() {
+                let fresh = self.prepare_bound(self.bind(key)?)?;
+                if (fresh.covered(), fresh.deduced_bound())
+                    != (entry.covered(), entry.deduced_bound())
+                {
+                    return fail(format!(
+                        "entry {key:?} at the current epoch caches bound {:?}, \
+                         re-preparing it gives {:?}",
+                        entry.deduced_bound(),
+                        fresh.deduced_bound()
+                    ));
+                }
             }
         }
         Ok(())
@@ -1280,39 +1266,55 @@ mod tests {
     }
 
     #[test]
-    fn old_snapshot_readers_do_not_evict_newer_cache_entries() {
-        // A reader pinned on a pre-write fork re-preparing a shape must not
-        // displace the entry the current generation is hitting (and its own
-        // insert must not overwrite it) — otherwise one old in-flight
-        // session turns the shared cache into a miss-per-query ping-pong.
+    fn forks_at_different_data_generations_share_one_cached_plan() {
+        // A reader pinned on a pre-write fork and the sessions on the newer
+        // one run the same plan: one miss in total, and each executes it
+        // against its own rows.
         let old = system();
         let mut fresh = old.fork();
         fresh
             .insert_rows(
-                "business",
+                "call",
                 vec![vec![
-                    Value::str("p88"),
-                    Value::str("bank"),
-                    Value::str("r0"),
+                    Value::str("p0"),
+                    Value::str("rN"),
+                    Value::str("2016-07-04"),
+                    Value::str("north"),
+                    Value::Int(1),
                 ]],
             )
             .unwrap();
-        // the newer fork caches the shape at its generation
-        fresh.execute_sql(COVERED).unwrap();
-        let misses_after_fresh = fresh.plan_cache_stats().misses;
-        // the old snapshot misses (its generation is older) but leaves the
-        // newer entry alone ...
-        old.execute_sql(COVERED).unwrap();
-        // ... so the newer fork still hits
-        let before = fresh.plan_cache_stats().hits;
+        let new_rows = fresh.execute_sql(COVERED).unwrap().rows;
+        let old_rows = old.execute_sql(COVERED).unwrap().rows;
+        assert_eq!(old_rows, vec![vec![Value::str("east")]]);
+        assert_eq!(new_rows.len(), 2, "the newer fork sees its own insert");
         fresh.execute_sql(COVERED).unwrap();
         let stats = fresh.plan_cache_stats();
-        assert_eq!(stats.hits, before + 1, "newer entry must survive: {stats}");
+        assert_eq!((stats.misses, stats.hits, stats.invalidations), (1, 2, 0));
+    }
+
+    #[test]
+    fn a_fork_whose_bounds_moved_neither_serves_nor_is_served_the_other_plan() {
+        let loose = system();
+        let loose_bound = loose.check(COVERED).unwrap().deduced_bound.unwrap();
+        let mut tight = loose.fork();
+        assert!(!tight.adjust_bounds(1.0).unwrap().is_empty());
+        // the shared cache holds the loose plan; the tightened fork must
+        // re-plan, and the loose one must not pick up the tight plan after
+        let tight_bound = tight.check(COVERED).unwrap().deduced_bound.unwrap();
+        assert!(tight_bound < loose_bound);
         assert_eq!(
-            stats.misses,
-            misses_after_fresh + 1,
-            "old reader misses only once"
+            loose.check(COVERED).unwrap().deduced_bound.unwrap(),
+            loose_bound
         );
+        assert_eq!(
+            tight.check(COVERED).unwrap().deduced_bound.unwrap(),
+            tight_bound
+        );
+        // two forks adjusting independently never land on one epoch
+        let mut other = loose.fork();
+        other.adjust_bounds(2.0).unwrap();
+        assert_ne!(other.schema_epoch(), tight.schema_epoch());
     }
 
     #[test]
@@ -1559,7 +1561,7 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_writes_invalidate_cached_plans_and_answers_stay_fresh() {
+    fn maintenance_writes_invalidate_no_plan_and_answers_stay_fresh() {
         let mut beas = system();
         let before = beas.execute_sql(COVERED).unwrap();
         assert_eq!(before.rows, vec![vec![Value::str("east")]]);
@@ -1567,7 +1569,7 @@ mod tests {
         assert_eq!(beas.plan_cache_stats().hits, 1);
 
         // Insert a bank whose call lands in a brand-new region: the cached
-        // plan must not be reused against the stale generation.
+        // plan is served again, and reads the maintained indices.
         beas.insert_rows(
             "business",
             vec![vec![
@@ -1596,8 +1598,6 @@ mod tests {
             .collect();
         regions.sort();
         assert_eq!(regions, vec!["east".to_string(), "north".to_string()]);
-        let stats = beas.plan_cache_stats();
-        assert!(stats.invalidations >= 1, "stale entry must be evicted");
         // and the fresh answer matches the baseline engine
         let baseline = Engine::default().run(beas.database(), COVERED).unwrap();
         let mut a: Vec<Row> = after.rows.clone();
@@ -1606,17 +1606,38 @@ mod tests {
         b.sort_by(|x, y| x[0].total_cmp(&y[0]));
         assert_eq!(a, b);
 
-        // deletes invalidate too
+        // deletes are seen too
         beas.delete_rows("call", |r| r[1] == Value::str("r999"))
             .unwrap();
         let reverted = beas.execute_sql(COVERED).unwrap();
         assert_eq!(reverted.rows, vec![vec![Value::str("east")]]);
+        // the uncovered shape re-plans its residue per run, from live rows
+        let partial = beas.execute_sql(UNCOVERED).unwrap();
+        beas.delete_rows("call", |r| r[1] == Value::str("r10"))
+            .unwrap();
+        let shrunk = beas.execute_sql(UNCOVERED).unwrap();
+        assert_eq!(
+            shrunk.rows,
+            Engine::default()
+                .run(beas.database(), UNCOVERED)
+                .unwrap()
+                .rows
+        );
+        assert_ne!(shrunk.rows, partial.rows);
+        let stats = beas.plan_cache_stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.invalidations),
+            (2, 4, 0),
+            "four data writes, no plan prepared twice: {stats}"
+        );
+        beas.check_invariants().unwrap();
     }
 
     #[test]
-    fn bulk_mutation_through_database_mut_invalidates_via_generation() {
+    fn bulk_loads_keep_cached_plans_and_ddl_invalidates_them_all() {
         let mut beas = system();
         let before = beas.execute_sql(COVERED).unwrap();
+        beas.execute_sql(UNCOVERED).unwrap();
         // bulk-load outside maintenance, then rebuild indices
         beas.database_mut()
             .insert(
@@ -1633,42 +1654,22 @@ mod tests {
         beas.rebuild_indexes().unwrap();
         let after = beas.execute_sql(COVERED).unwrap();
         assert_eq!(after.rows.len(), before.rows.len() + 1);
-        assert!(beas.plan_cache_stats().invalidations >= 1);
-    }
-
-    #[test]
-    fn writes_to_unrelated_tables_keep_cached_plans_live() {
-        // Read-set validation: a write batch that never touches a plan's
-        // tables must keep the entry serving hits — only writes to the
-        // tables the plan actually reads may invalidate it.
-        let mut beas = system();
-        let single = "select distinct region from call where pnum = 'p1' and date = '2016-07-04'";
-        let first = beas.execute_sql(single).unwrap();
-        assert_eq!(beas.plan_cache_stats().misses, 1);
-        // write to `business` — the cached `call` plan is untouched
-        beas.insert_rows(
-            "business",
-            vec![vec![
-                Value::str("p99"),
-                Value::str("shop"),
-                Value::str("r9"),
-            ]],
-        )
-        .unwrap();
-        assert!(beas.database().generation() > 0);
-        let again = beas.execute_sql(single).unwrap();
-        assert_eq!(again.rows, first.rows);
         let stats = beas.plan_cache_stats();
-        assert_eq!(stats.hits, 1, "unrelated write must not evict: {stats}");
-        assert_eq!(stats.invalidations, 0);
-        // a write to `call` itself does invalidate
-        beas.delete_rows("call", |r| r[0] == Value::str("p1"))
+        assert_eq!((stats.hits, stats.invalidations), (1, 0));
+        // DDL moves the catalog epoch: both cached plans go, each on its
+        // next use
+        beas.database_mut()
+            .create_table(
+                TableSchema::new("extra", vec![ColumnDef::new("x", DataType::Int)]).unwrap(),
+            )
             .unwrap();
-        let after = beas.execute_sql(single).unwrap();
-        assert!(after.rows.is_empty());
+        assert_eq!(beas.execute_sql(COVERED).unwrap().rows, after.rows);
+        beas.execute_sql(UNCOVERED).unwrap();
         let stats = beas.plan_cache_stats();
-        assert_eq!(stats.invalidations, 1);
-        assert_eq!(stats.misses, 2);
+        assert_eq!((stats.misses, stats.invalidations), (4, 2));
+        beas.database_mut().drop_table("extra").unwrap();
+        beas.execute_sql(COVERED).unwrap();
+        assert_eq!(beas.plan_cache_stats().invalidations, 3);
     }
 
     #[test]
@@ -1677,12 +1678,6 @@ mod tests {
         let prepared = beas.prepare(COVERED).unwrap();
         assert!(prepared.covered());
         assert!(prepared.deduced_bound().unwrap() >= 2000);
-        let tables: Vec<&str> = prepared
-            .read_set()
-            .iter()
-            .map(|(t, _)| t.as_str())
-            .collect();
-        assert_eq!(tables, vec!["call", "business"]);
         let stats = beas.plan_cache_stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
         // admission estimate + execution off the same Arc: no new lookups
@@ -1729,5 +1724,24 @@ mod tests {
             tight < loose,
             "tightened bounds must re-plan, not serve the cached bound ({tight} vs {loose})"
         );
+        assert_eq!(beas.plan_cache_stats().invalidations, 1);
+        // so does a bound AutoAdjust raises during an insert
+        let grown: Vec<Row> = (0..60)
+            .map(|i| {
+                vec![
+                    Value::str("p0"),
+                    Value::str(format!("g{i}")),
+                    Value::str("2016-07-04"),
+                    Value::str("east"),
+                    Value::Int(i),
+                ]
+            })
+            .collect();
+        let outcome = beas.insert_rows("call", grown).unwrap();
+        assert_eq!(outcome.adjusted.len(), 1);
+        let raised = beas.check(COVERED).unwrap().deduced_bound.unwrap();
+        assert!(raised > tight);
+        assert_eq!(beas.plan_cache_stats().invalidations, 2);
+        beas.check_invariants().unwrap();
     }
 }

@@ -59,7 +59,6 @@ const MUTATORS: &[&str] = &[
     "drop_table",
     "delete_where",
     "add_row",
-    "remove_row",
     "remove_rows",
     "insert_row",
 ];
@@ -405,7 +404,8 @@ fn check_l001(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
 }
 
 /// L002 — a hash/tree container keyed by raw `Value`s (or `Vec<Value>` /
-/// `Row`) in a file that never canonicalizes through `beas_common::key`
+/// `Row` / `Arc<[Value]>`) in a file that never canonicalizes through
+/// `beas_common::key`
 /// means join/index keys can disagree on `-0.0`, integral floats and
 /// date-typed strings.  One finding per file, at the first such container.
 fn check_l002<F: Fn(u32) -> bool>(
@@ -433,11 +433,17 @@ fn check_l002<F: Fn(u32) -> bool>(
         if !sig.get(i + 1).map(|t| t.is_punct('<')).unwrap_or(false) {
             continue;
         }
+        let at = |k: usize, f: &dyn Fn(&Token) -> bool| sig.get(i + k).is_some_and(|t| f(t));
         let key_is_value = match sig.get(i + 2) {
             Some(t2) if t2.is_ident("Value") || t2.is_ident("Row") => true,
             Some(t2) if t2.is_ident("Vec") => {
-                sig.get(i + 3).map(|t| t.is_punct('<')).unwrap_or(false)
-                    && sig.get(i + 4).map(|t| t.is_ident("Value")).unwrap_or(false)
+                at(3, &|t| t.is_punct('<')) && at(4, &|t| t.is_ident("Value"))
+            }
+            // a shared or boxed key slice: `Arc<[Value]>`, `Box<[Value]>`
+            Some(t2) if ["Arc", "Rc", "Box"].iter().any(|w| t2.is_ident(w)) => {
+                at(3, &|t| t.is_punct('<'))
+                    && at(4, &|t| t.is_punct('['))
+                    && at(5, &|t| t.is_ident("Value"))
             }
             _ => false,
         };

@@ -51,6 +51,17 @@ fn l002_clean_when_the_file_canonicalizes() {
 }
 
 #[test]
+fn l002_sees_shared_slice_keys() {
+    // the constraint index's shard map: `Arc<[Value]>` keys probed by
+    // `&[Value]` are raw value keys like any other
+    let map = "struct Shard { buckets: HashMap<Arc<[Value]>, Arc<Bucket>> }\n";
+    let ctx = FileContext::from_path("crates/storage/src/shard.rs");
+    assert_eq!(rules_of(&lint_source(map, &ctx)), vec!["L002"]);
+    let canonical = format!("{map}fn key(r: &Row) -> Vec<Value> {{ index_key(r) }}\n");
+    assert!(lint_source(&canonical, &ctx).is_empty());
+}
+
+#[test]
 fn l002_skips_the_key_module_itself() {
     let findings = lint_fixture("l002_fire.rs", "crates/common/src/key.rs");
     assert!(findings.is_empty(), "{findings:?}");

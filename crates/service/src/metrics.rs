@@ -10,9 +10,10 @@
 //! upper bounds with at most 2x resolution error — the right trade-off for
 //! a hot path that must never allocate or lock.
 
+use beas_storage::CopyStats;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Number of power-of-two latency buckets: bucket `i` holds samples in
@@ -139,9 +140,11 @@ pub struct ServiceMetrics {
     pub(crate) quota_trips: AtomicU64,
     pub(crate) errors: AtomicU64,
     pub(crate) maintenance_batches: AtomicU64,
-    /// Gauge (not a counter): snapshot generations currently kept alive by
-    /// at least one pin.  Behind an `Arc` so every pinned snapshot can hold
-    /// a handle and decrement it from `Drop`, wherever the pin ends up.
+    /// Running total of [`MaintenanceOutcome::copied`] over those batches
+    /// (batches are serialized, so the lock is never contended).
+    ///
+    /// [`MaintenanceOutcome::copied`]: beas_access::MaintenanceOutcome::copied
+    copied: Mutex<CopyStats>,
     pub(crate) live_generations: Arc<AtomicU64>,
     pub(crate) latency: LatencyHistogram,
     /// Per-decision latency: how long submissions took *by how they were
@@ -159,6 +162,17 @@ impl ServiceMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count one published maintenance batch and what it copied.
+    pub(crate) fn record_batch(&self, copied: CopyStats) {
+        Self::bump(&self.maintenance_batches);
+        *self.copied.lock().expect("copy totals lock") += copied;
+    }
+
+    /// What all maintenance batches so far copied.
+    pub(crate) fn copied(&self) -> CopyStats {
+        *self.copied.lock().expect("copy totals lock")
+    }
+
     /// A point-in-time copy of every counter plus latency quantiles.
     pub fn snapshot(&self) -> ServiceMetricsSnapshot {
         ServiceMetricsSnapshot {
@@ -169,6 +183,7 @@ impl ServiceMetrics {
             quota_trips: self.quota_trips.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             maintenance_batches: self.maintenance_batches.load(Ordering::Relaxed),
+            maintenance_copied: self.copied(),
             live_generations: self.live_generations.load(Ordering::Relaxed),
             latency_samples: self.latency.count(),
             p50: self.latency.quantile(0.50),
@@ -197,6 +212,10 @@ pub struct ServiceMetricsSnapshot {
     pub errors: u64,
     /// Maintenance batches applied (each published one new snapshot).
     pub maintenance_batches: u64,
+    /// What those batches copied because the storage they wrote was shared
+    /// with a published generation — proportional to the batches, not to
+    /// the database.
+    pub maintenance_copied: CopyStats,
     /// Snapshot generations currently pinned (the published snapshot plus
     /// any older ones still held by sessions or explicit pins); old
     /// generations leave the gauge — and free their private segments —
@@ -230,7 +249,8 @@ impl fmt::Display for ServiceMetricsSnapshot {
         write!(
             f,
             "service: {} bounded, {} baseline, {} approximate, {} rejected; \
-             {} quota trips, {} errors, {} maintenance batches, \
+             {} quota trips, {} errors, {} maintenance batches \
+             (copied {} rows, {} buckets, {} shard maps; opened {} segments, merged {}), \
              {} live generations; p50 {:?}, p90 {:?}, p99 {:?}, max {:?} over {} samples",
             self.decided_bounded,
             self.decided_baseline,
@@ -239,6 +259,11 @@ impl fmt::Display for ServiceMetricsSnapshot {
             self.quota_trips,
             self.errors,
             self.maintenance_batches,
+            self.maintenance_copied.rows_copied,
+            self.maintenance_copied.buckets_cloned,
+            self.maintenance_copied.shards_cloned,
+            self.maintenance_copied.segments_opened,
+            self.maintenance_copied.segments_merged,
             self.live_generations,
             self.p50,
             self.p90,

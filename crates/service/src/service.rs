@@ -14,33 +14,48 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
+/// Systems whose last pin dropped, waiting for a writer to free them.
+type Retired = Arc<Mutex<Vec<BeasSystem>>>;
+
 /// A published snapshot, pinned for garbage-collection accounting.
 ///
 /// Snapshots are structurally shared: a maintenance batch forks the
 /// current system (cloning `Arc` handles to row segments and index
 /// shards, not rows) and publishes the fork, so consecutive generations
-/// share almost all of their storage.  What an *old* generation privately
-/// owns — the pre-write copies of the segments and shards the batch
-/// rewrote — is freed by plain `Arc` reclamation the moment the last
-/// `Arc<PinnedSnapshot>` of that generation drops.  The pin's only job is
-/// to make that lifecycle observable: it holds the
+/// share almost all of their storage.  What an *old* generation alone
+/// still holds — the buckets and small tail segments the batch replaced,
+/// itself proportional to the batch — is released when the last
+/// `Arc<PinnedSnapshot>` of that generation drops.  The pin makes that
+/// lifecycle observable — it holds the
 /// [`ServiceMetricsSnapshot::live_generations`] gauge up while alive and
-/// decrements it on drop.
+/// decrements it on drop — and keeps its cost off the read path: the last
+/// holder, usually a session finishing a query, does not free the system
+/// but hands it to the service, and the next maintenance batch frees it on
+/// the writer's thread.  (Those thousands of small allocations were made
+/// on that thread; freeing them from a reader's, while the writer keeps
+/// allocating, stalled the reader for most of its run.)
 ///
 /// Dereferences to [`BeasSystem`]; queries made directly against it bypass
 /// the service's admission control and metrics.
 #[derive(Debug)]
 pub struct PinnedSnapshot {
-    system: BeasSystem,
+    /// `Some` until drop.
+    system: Option<BeasSystem>,
     gauge: Arc<AtomicU64>,
+    retired: Retired,
 }
 
 impl PinnedSnapshot {
-    fn publish(system: BeasSystem, gauge: &Arc<AtomicU64>) -> Arc<PinnedSnapshot> {
+    fn publish(
+        system: BeasSystem,
+        gauge: &Arc<AtomicU64>,
+        retired: &Retired,
+    ) -> Arc<PinnedSnapshot> {
         gauge.fetch_add(1, Ordering::Relaxed);
         Arc::new(PinnedSnapshot {
-            system,
+            system: Some(system),
             gauge: Arc::clone(gauge),
+            retired: Arc::clone(retired),
         })
     }
 }
@@ -49,13 +64,18 @@ impl Deref for PinnedSnapshot {
     type Target = BeasSystem;
 
     fn deref(&self) -> &BeasSystem {
-        &self.system
+        self.system.as_ref().expect("present until drop")
     }
 }
 
 impl Drop for PinnedSnapshot {
     fn drop(&mut self) {
         self.gauge.fetch_sub(1, Ordering::Relaxed);
+        // A poisoned list means a writer panicked while freeing; fall back
+        // to freeing here rather than panic in drop.
+        if let (Some(system), Ok(mut retired)) = (self.system.take(), self.retired.lock()) {
+            retired.push(system);
+        }
     }
 }
 
@@ -130,6 +150,8 @@ struct Shared {
     /// under this mutex only, and the snapshot write lock is held just for
     /// the pointer swap.
     writer: Mutex<()>,
+    /// Unpinned generations, freed by the next maintenance batch.
+    retired: Retired,
     metrics: ServiceMetrics,
     slow_log: SlowQueryLog,
     next_session: AtomicU64,
@@ -150,9 +172,9 @@ struct Shared {
 ///   drop when their last session unpins them (the `live_generations`
 ///   metric counts the pinned ones).
 /// * The **plan cache is shared across snapshots** (forks keep one cache;
-///   entries are validated against the per-table generations in their
-///   read set), so a maintenance write re-prepares only the cached plans
-///   whose tables it touched.
+///   entries are validated against the schema epoch they were prepared
+///   under), so a maintenance write re-prepares no plan at all unless it
+///   changes a bound.
 ///
 /// Cloning the handle is cheap and shares the service.
 #[derive(Debug, Clone)]
@@ -280,11 +302,13 @@ impl QueryService {
     /// construction) into a service.
     pub fn new(system: BeasSystem) -> Self {
         let metrics = ServiceMetrics::default();
-        let snapshot = PinnedSnapshot::publish(system, &metrics.live_generations);
+        let retired = Retired::default();
+        let snapshot = PinnedSnapshot::publish(system, &metrics.live_generations, &retired);
         QueryService {
             shared: Arc::new(Shared {
                 snapshot: RwLock::new(snapshot),
                 writer: Mutex::new(()),
+                retired,
                 metrics,
                 slow_log: SlowQueryLog::default(),
                 next_session: AtomicU64::new(0),
@@ -358,7 +382,8 @@ impl QueryService {
 
     /// Export the service's observable state as a [`MetricsRegistry`]
     /// snapshot: per-decision counters, quota trips, errors, maintenance
-    /// batches, the live-generation gauge, plan-cache counters, and the
+    /// batches and what they copied, the live-generation gauge, plan-cache
+    /// counters, and the
     /// submission latency histograms (overall and per decision).  Render it
     /// with [`MetricsRegistry::to_json`] or
     /// [`MetricsRegistry::to_prometheus`].
@@ -406,12 +431,29 @@ impl QueryService {
                 "beas_service_maintenance_batches_total",
                 "Maintenance batches applied (each published one snapshot)",
                 m.maintenance_batches.load(Ordering::Relaxed),
-            )
-            .gauge(
-                "beas_service_live_generations",
-                "Snapshot generations currently pinned",
-                m.live_generations.load(Ordering::Relaxed),
             );
+        const COPIED_HELP: &str =
+            "What maintenance batches copied because the storage they wrote was shared";
+        let copied = m.copied();
+        for (what, total) in [
+            ("segments_opened", copied.segments_opened),
+            ("segments_merged", copied.segments_merged),
+            ("rows_copied", copied.rows_copied),
+            ("shards_cloned", copied.shards_cloned),
+            ("buckets_cloned", copied.buckets_cloned),
+        ] {
+            registry.counter_with(
+                "beas_service_maintenance_copied_total",
+                COPIED_HELP,
+                &[("what", what)],
+                total,
+            );
+        }
+        registry.gauge(
+            "beas_service_live_generations",
+            "Snapshot generations currently pinned",
+            m.live_generations.load(Ordering::Relaxed),
+        );
         const CACHE_HELP: &str = "Plan cache lookups by outcome";
         registry
             .counter_with(
@@ -461,18 +503,32 @@ impl QueryService {
     /// run `apply` on the fork, and publish it as the new snapshot.  An
     /// error publishes nothing — concurrent readers keep their pinned
     /// snapshots either way and in-flight queries are never disturbed.
-    fn maintain<T>(&self, apply: impl FnOnce(&mut BeasSystem) -> Result<T>) -> Result<T> {
-        let _writer = self.shared.writer.lock().expect("writer lock");
-        let current = Arc::clone(&self.shared.snapshot.read().expect("snapshot lock"));
-        let mut fork = current.fork();
-        let out = apply(&mut fork)?;
-        // Publishing replaces the service's own pin on the previous
-        // generation; if no session still holds it, its private segments
-        // are freed right here by the old `Arc` dropping.
-        *self.shared.snapshot.write().expect("snapshot lock") =
-            PinnedSnapshot::publish(fork, &self.shared.metrics.live_generations);
-        ServiceMetrics::bump(&self.shared.metrics.maintenance_batches);
-        Ok(out)
+    fn maintain(
+        &self,
+        apply: impl FnOnce(&mut BeasSystem) -> Result<MaintenanceOutcome>,
+    ) -> Result<MaintenanceOutcome> {
+        let (outcome, unpinned) = {
+            let _writer = self.shared.writer.lock().expect("writer lock");
+            let current = Arc::clone(&self.shared.snapshot.read().expect("snapshot lock"));
+            let mut fork = current.fork();
+            let outcome = apply(&mut fork)?;
+            let published = PinnedSnapshot::publish(
+                fork,
+                &self.shared.metrics.live_generations,
+                &self.shared.retired,
+            );
+            let mut slot = self.shared.snapshot.write().expect("snapshot lock");
+            (outcome, (std::mem::replace(&mut *slot, published), current))
+        };
+        // The service's pins on the previous generation drop only here,
+        // with the snapshot lock and the writer mutex released, so neither a
+        // reader waiting to pin nor the next writer waits for it.  Then this
+        // thread frees every generation whose last pin has dropped by now.
+        drop(unpinned);
+        let retired = std::mem::take(&mut *self.shared.retired.lock().expect("retired list lock"));
+        drop(retired);
+        self.shared.metrics.record_batch(outcome.copied);
+        Ok(outcome)
     }
 
     /// Insert rows through the maintenance module (indices stay consistent,
@@ -943,14 +999,17 @@ mod tests {
         // the same prepared Arc): the second session hits the entry the
         // first one planned, exactly once
         assert_eq!((stats.misses, stats.hits), (1, 1), "{stats}");
-        // a write to `call` invalidates; the next read re-prepares once
+        // a write to `call` invalidates nothing: the next read is a hit on
+        // the same plan, run against the new snapshot's rows
         service
-            .delete_rows("call", |r| r[1] == Value::str("r0"))
+            .delete_rows("call", |r| r[3] == Value::str("east"))
             .unwrap();
-        a.execute(COVERED).unwrap();
+        let out = a.execute(COVERED).unwrap();
+        assert!(out.trace.cache_hit);
+        assert_eq!(out.generation, service.generation());
+        assert!(out.answer.unwrap().rows.is_empty(), "the banks' calls went");
         let stats = service.plan_cache_stats();
-        assert_eq!(stats.misses, 2);
-        assert!(stats.invalidations >= 1);
+        assert_eq!((stats.misses, stats.hits, stats.invalidations), (1, 2, 0));
     }
 
     #[test]
@@ -976,6 +1035,18 @@ mod tests {
         // two generations live: the published one and the pinned old one,
         // which still reads its own (pre-write) contents
         assert_eq!(service.metrics().live_generations, 2);
+        // the batch copied one bucket's worth, and says so
+        let copied = service.metrics().maintenance_copied;
+        assert_eq!(
+            (copied.segments_opened, copied.rows_copied),
+            (1, 0),
+            "the shared tail is left alone: {copied:?}"
+        );
+        assert_eq!((copied.shards_cloned, copied.buckets_cloned), (1, 1));
+        assert!(service
+            .metrics_registry()
+            .to_prometheus()
+            .contains("beas_service_maintenance_copied_total{what=\"buckets_cloned\"} 1"));
         assert_eq!(
             pinned.database().table("call").unwrap().row_count(),
             rows_before

@@ -12,7 +12,8 @@
 //! The plan cache is exercised hard by construction (every session reuses
 //! the same query shapes across generations) and its counters must add up
 //! exactly — every prepare lookup any thread performed is either a hit or
-//! a miss, with none lost to races.
+//! a miss, with none lost to races — while the maintenance batches, being
+//! data writes, invalidate nothing.
 
 use beas_access::{AccessConstraint, AccessSchema};
 use beas_common::{ColumnDef, DataType, ResourceQuota, Row, TableSchema, Value};
@@ -307,6 +308,11 @@ fn run_stress(readers: usize, min_iterations: usize, batch_list: &[Batch]) -> (u
         expected_lookups
     );
     assert!(stats.hits > 0, "repeated shapes must hit the cache");
+    // Data writes invalidate no plan: however many batches were published,
+    // each of the two shapes was prepared once — or once per session that
+    // raced the first preparation — and never again.
+    assert_eq!(stats.invalidations, 0, "{stats}");
+    assert!(stats.misses <= 2 * readers as u64, "{stats}");
     assert_eq!(
         service.metrics().maintenance_batches,
         // AddBankWithCalls publishes two snapshots (business, then calls)

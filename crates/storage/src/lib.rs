@@ -12,16 +12,20 @@
 //!   access constraint `R(X → Y, N)`: each `X`-key maps to the set of at most
 //!   `N` distinct `Y` partial tuples;
 //! * [`TableStatistics`] — per-table/column statistics for the baseline
-//!   cost model and for access-schema discovery.
+//!   cost model and for access-schema discovery;
+//! * [`CopyStats`] — what copy-on-write writes to tables and constraint
+//!   indices have copied.
 
 pub mod constraint_index;
+pub mod copy_stats;
 pub mod database;
 pub mod index;
 pub mod stats;
 pub mod table;
 
-pub use constraint_index::ConstraintIndex;
+pub use constraint_index::{ConstraintIndex, IndexDump};
+pub use copy_stats::CopyStats;
 pub use database::Database;
 pub use index::HashIndex;
 pub use stats::{ColumnStatistics, TableStatistics};
-pub use table::{Table, SEGMENT_ROWS};
+pub use table::{CoercedBatch, Table, SEGMENT_ROWS};

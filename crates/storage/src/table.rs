@@ -1,6 +1,8 @@
 //! A schema-validated in-memory row store with structurally shared segments.
 
+use crate::copy_stats::CopyStats;
 use beas_common::{BeasError, DataType, Result, Row, TableSchema, Value};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Rows per sealed segment.  Matches [`beas_common::MORSEL_ROWS`] so that
@@ -9,12 +11,44 @@ use std::sync::Arc;
 pub const SEGMENT_ROWS: usize = beas_common::MORSEL_ROWS;
 
 /// One immutable run of rows.  `start` is the physical id of the first row;
-/// the run is shared (`Arc`) between a table and its clones until one of
-/// them mutates it.
+/// the run is shared (`Arc`) between a table and its clones, and a shared
+/// run is never written: appends go to a private segment behind it.
 #[derive(Debug, Clone)]
 struct Segment {
     start: usize,
     rows: Arc<Vec<Row>>,
+}
+
+impl Segment {
+    fn end(&self) -> usize {
+        self.start + self.rows.len()
+    }
+}
+
+/// Whether two adjacent segments of these sizes are merged into one: the
+/// pair fits a sealed segment and the left one is at most twice the right.
+/// The size ratio makes merging geometric — a row on the left of a merge
+/// ends up in a segment at least 1.5× the one it was in, so it is moved
+/// O(log [`SEGMENT_ROWS`]) times over the life of the table — and a spine
+/// with no mergeable pair holds O(log [`SEGMENT_ROWS`]) segments per
+/// [`SEGMENT_ROWS`] rows.
+fn mergeable(left: usize, right: usize) -> bool {
+    left <= 2 * right && left + right <= SEGMENT_ROWS
+}
+
+/// Rows validated and coerced against one table's schema, ready to be
+/// appended to it ([`Table::coerce_batch`] is the only constructor).
+#[derive(Debug)]
+pub struct CoercedBatch {
+    table: String,
+    rows: Vec<Row>,
+}
+
+impl CoercedBatch {
+    /// The coerced rows, in submission order.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
 }
 
 /// An in-memory table: a schema plus a sequence of row segments.
@@ -25,11 +59,14 @@ struct Segment {
 ///
 /// Storage is *structurally shared*: rows live in `Arc`-held segments of at
 /// most [`SEGMENT_ROWS`] rows, and `Clone` copies only the segment handles.
-/// Inserts append to the unsealed tail segment; deletes rebuild exactly the
-/// segments that contain a matching row and keep every other segment shared
-/// with the clone it came from.  This is what makes snapshot forks O(number
-/// of segments) instead of O(number of rows): a maintenance batch pays for
-/// the rows it touches, not for the size of the database.
+/// A write never touches a segment another clone can see.  An insert appends
+/// to the tail segment only while this table is its sole owner; otherwise it
+/// opens a new segment behind it.  A delete rebuilds exactly the segments
+/// that contain a matching row.  Adjacent undersized segments are merged
+/// under the geometric rule of `mergeable`, so the segment count stays
+/// logarithmic however many small batches land on forks.  A maintenance
+/// batch therefore copies rows in proportion to the batch, never to the
+/// table.
 ///
 /// Rows stay addressable by a stable physical id (their global position), so
 /// row-id consumers (`HashIndex`, `project_row`, executors) are unaffected
@@ -39,6 +76,7 @@ pub struct Table {
     schema: TableSchema,
     segments: Arc<Vec<Segment>>,
     len: usize,
+    copied: CopyStats,
 }
 
 impl Table {
@@ -48,6 +86,7 @@ impl Table {
             schema,
             segments: Arc::new(Vec::new()),
             len: 0,
+            copied: CopyStats::default(),
         }
     }
 
@@ -116,13 +155,11 @@ impl Table {
         Ok(())
     }
 
-    /// Insert one row, coercing values to the declared column types
+    /// Validate a row and coerce its values to the declared column types
     /// (e.g. a `'2016-07-04'` string into a `DATE` column).
-    /// Returns the physical row id.
-    pub fn insert(&mut self, row: Row) -> Result<usize> {
+    fn coerce_row(&self, row: Row) -> Result<Row> {
         self.validate_row(&row)?;
-        let coerced: Row = row
-            .into_iter()
+        row.into_iter()
             .zip(&self.schema.columns)
             .map(|(v, c)| {
                 if v.is_null() {
@@ -131,23 +168,70 @@ impl Table {
                     v.cast(c.data_type)
                 }
             })
-            .collect::<Result<_>>()?;
+            .collect()
+    }
+
+    /// Validate and coerce a whole batch without inserting it; fails on the
+    /// first invalid row.  The result is what [`Table::append`] takes, so a
+    /// caller that needs the stored form of the rows before they are stored
+    /// (index maintenance, bound checks) coerces once.
+    pub fn coerce_batch(&self, rows: Vec<Row>) -> Result<CoercedBatch> {
+        Ok(CoercedBatch {
+            table: self.schema.name.clone(),
+            rows: rows
+                .into_iter()
+                .map(|r| self.coerce_row(r))
+                .collect::<Result<_>>()?,
+        })
+    }
+
+    /// Append a coerced batch, returning the physical ids of its rows.
+    ///
+    /// # Panics
+    /// If the batch was coerced against a different table.
+    pub fn append(&mut self, batch: CoercedBatch) -> Range<usize> {
+        assert_eq!(
+            batch.table, self.schema.name,
+            "batch coerced against another table"
+        );
+        let first = self.len;
+        for row in batch.rows {
+            self.push_row(row);
+        }
+        first..self.len
+    }
+
+    /// Insert one row, coercing values to the declared column types.
+    /// Returns the physical row id.
+    pub fn insert(&mut self, row: Row) -> Result<usize> {
+        let row = self.coerce_row(row)?;
+        Ok(self.push_row(row))
+    }
+
+    /// Store one coerced row at the end of the table.
+    fn push_row(&mut self, row: Row) -> usize {
         let id = self.len;
-        // Copy-on-write along the spine: a shared spine clones its segment
-        // *handles* (cheap), and only the unsealed tail segment — at most
-        // SEGMENT_ROWS rows — is ever deep-copied when shared.
+        // The spine clones its segment *handles* when shared.  The tail
+        // segment takes the row only if no other table can see it and it is
+        // not full; a shared tail is left as it is, whatever its size.
         let segments = Arc::make_mut(&mut self.segments);
-        match segments.last_mut() {
-            Some(seg) if seg.rows.len() < SEGMENT_ROWS => {
-                Arc::make_mut(&mut seg.rows).push(coerced);
+        let tail = segments
+            .last_mut()
+            .and_then(|seg| Arc::get_mut(&mut seg.rows))
+            .filter(|rows| rows.len() < SEGMENT_ROWS);
+        match tail {
+            Some(rows) => rows.push(row),
+            None => {
+                segments.push(Segment {
+                    start: id,
+                    rows: Arc::new(vec![row]),
+                });
+                self.copied.segments_opened += 1;
             }
-            _ => segments.push(Segment {
-                start: id,
-                rows: Arc::new(vec![coerced]),
-            }),
         }
         self.len += 1;
-        Ok(id)
+        merge_tail(segments, &mut self.copied);
+        id
     }
 
     /// Insert many rows; stops at the first invalid row.
@@ -163,15 +247,13 @@ impl Table {
     /// Delete all rows matching `predicate`, returning the removed rows with
     /// their former physical ids (useful for incremental index maintenance).
     ///
-    /// Only segments containing a match are rebuilt; the rest keep their
-    /// shared storage (their start ids are renumbered, which costs nothing
-    /// but the segment handle).
+    /// Every row is tested, but only segments containing a match are
+    /// rebuilt; the rest keep their shared storage (their start ids are
+    /// renumbered, which costs nothing but the segment handle).
     pub fn delete_where(&mut self, mut predicate: impl FnMut(&Row) -> bool) -> Vec<(usize, Row)> {
         let mut removed = Vec::new();
         let segments = Arc::make_mut(&mut self.segments);
-        let old = std::mem::take(segments);
-        let mut next_start = 0usize;
-        for seg in old {
+        for seg in std::mem::take(segments) {
             let matches: Vec<usize> = seg
                 .rows
                 .iter()
@@ -179,34 +261,35 @@ impl Table {
                 .filter(|(_, r)| predicate(r))
                 .map(|(i, _)| i)
                 .collect();
-            if matches.is_empty() {
-                segments.push(Segment {
-                    start: next_start,
-                    rows: seg.rows.clone(),
-                });
-                next_start += seg.rows.len();
+            let rows = if matches.is_empty() {
+                seg.rows
+            } else {
+                let mut kept = Vec::with_capacity(seg.rows.len() - matches.len());
+                let mut matched = matches.into_iter().peekable();
+                let mut sort = |i: usize, row: Row| match matched.next_if_eq(&i) {
+                    Some(_) => removed.push((seg.start + i, row)),
+                    None => kept.push(row),
+                };
+                match Arc::try_unwrap(seg.rows) {
+                    Ok(rows) => rows.into_iter().enumerate().for_each(|(i, r)| sort(i, r)),
+                    Err(shared) => {
+                        shared
+                            .iter()
+                            .enumerate()
+                            .for_each(|(i, r)| sort(i, r.clone()));
+                        self.copied.rows_copied += kept.len() as u64;
+                    }
+                }
+                Arc::new(kept)
+            };
+            if rows.is_empty() {
                 continue;
             }
-            let mut kept = Vec::with_capacity(seg.rows.len() - matches.len());
-            let mut matched = matches.iter().copied().peekable();
-            for (i, row) in seg.rows.iter().enumerate() {
-                if matched.peek() == Some(&i) {
-                    matched.next();
-                    removed.push((seg.start + i, row.clone()));
-                } else {
-                    kept.push(row.clone());
-                }
-            }
-            if !kept.is_empty() {
-                let kept_len = kept.len();
-                segments.push(Segment {
-                    start: next_start,
-                    rows: Arc::new(kept),
-                });
-                next_start += kept_len;
-            }
+            let start = segments.last().map_or(0, Segment::end);
+            segments.push(Segment { start, rows });
+            merge_tail(segments, &mut self.copied);
         }
-        self.len = next_start;
+        self.len = segments.last().map_or(0, Segment::end);
         removed
     }
 
@@ -255,6 +338,13 @@ impl Table {
             .count()
     }
 
+    /// Running totals of the copy-on-write work this table (and the clones
+    /// it descends from) has done: segments opened and merged, rows
+    /// deep-copied out of shared segments.
+    pub fn copy_stats(&self) -> CopyStats {
+        self.copied
+    }
+
     /// Slice the table into morsels of at most `morsel_rows` rows, in
     /// physical-id order.  Each morsel lies inside one segment, so for
     /// append-built tables (segment size = [`SEGMENT_ROWS`] =
@@ -291,8 +381,10 @@ impl Table {
     /// 1. segment `start` ids are contiguous and monotone (physical ids are
     ///    dense positions),
     /// 2. no segment is empty or larger than [`SEGMENT_ROWS`],
-    /// 3. `len` equals the sum of segment lengths,
-    /// 4. every stored row still validates against the schema (arity, types,
+    /// 3. no two adjacent segments are left that the merge rule would join
+    ///    (which is what bounds the segment count),
+    /// 4. `len` equals the sum of segment lengths,
+    /// 5. every stored row still validates against the schema (arity, types,
     ///    NULLability) — insertion coerces, so storage must be well-typed.
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn check_invariants(&self) -> Result<()> {
@@ -321,6 +413,15 @@ impl Table {
             }
             next_start += seg.rows.len();
         }
+        for (i, pair) in self.segments.windows(2).enumerate() {
+            let (left, right) = (pair[0].rows.len(), pair[1].rows.len());
+            if mergeable(left, right) {
+                return fail(format!(
+                    "segments {i} and {} ({left} and {right} rows) were left unmerged",
+                    i + 1
+                ));
+            }
+        }
         if self.len != next_start {
             return fail(format!(
                 "cached len {} != {} rows stored in segments",
@@ -333,6 +434,33 @@ impl Table {
             }
         }
         Ok(())
+    }
+}
+
+/// Merge the last two segments while the merge rule joins them, so that
+/// once a spine has no mergeable pair, pushing one segment keeps it so.
+/// Rows of a segment another table still sees are deep-copied (and
+/// counted); rows this table owns alone are moved.
+fn merge_tail(segments: &mut Vec<Segment>, copied: &mut CopyStats) {
+    while let [.., left, right] = segments.as_slice() {
+        if !mergeable(left.rows.len(), right.rows.len()) {
+            return;
+        }
+        let right = segments.pop().expect("matched two segments");
+        let left = segments.pop().expect("matched two segments");
+        let mut take = |rows: Arc<Vec<Row>>| {
+            Arc::try_unwrap(rows).unwrap_or_else(|shared| {
+                copied.rows_copied += shared.len() as u64;
+                shared.as_ref().clone()
+            })
+        };
+        let mut rows = take(left.rows);
+        rows.extend(take(right.rows));
+        segments.push(Segment {
+            start: left.start,
+            rows: Arc::new(rows),
+        });
+        copied.segments_merged += 1;
     }
 }
 
@@ -491,18 +619,30 @@ mod tests {
         let snapshot = t.clone();
         assert_eq!(snapshot.shared_segment_count(&t), 3);
 
-        // appending touches only the unsealed tail segment
+        // appending leaves the shared tail alone and opens a segment behind
+        // it; the second append goes into that private segment
+        let before = t.copy_stats();
         t.insert(vec![Value::Int(-1)]).unwrap();
-        assert_eq!(snapshot.shared_segment_count(&t), 2);
+        t.insert(vec![Value::Int(-2)]).unwrap();
+        assert_eq!(snapshot.shared_segment_count(&t), 3);
+        assert_eq!(t.segment_count(), 4);
+        assert_eq!(
+            t.copy_stats() - before,
+            CopyStats {
+                segments_opened: 1,
+                ..CopyStats::default()
+            }
+        );
         assert_eq!(snapshot.row_count(), 2 * SEGMENT_ROWS + 7);
         assert!(snapshot.row(2 * SEGMENT_ROWS + 7).is_none());
+        assert_eq!(t.row(2 * SEGMENT_ROWS + 8).unwrap()[0], Value::Int(-2));
 
         // deleting from the middle rebuilds only the segment that matched
         let removed = t.delete_where(|r| r[0] == Value::Int(SEGMENT_ROWS as i64));
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].0, SEGMENT_ROWS);
-        assert_eq!(snapshot.shared_segment_count(&t), 1);
-        assert_eq!(t.row_count(), 2 * SEGMENT_ROWS + 7);
+        assert_eq!(snapshot.shared_segment_count(&t), 2);
+        assert_eq!(t.row_count(), 2 * SEGMENT_ROWS + 8);
         // physical ids compacted: the row after the hole shifted down
         assert_eq!(
             t.row(SEGMENT_ROWS).unwrap()[0],
@@ -513,6 +653,67 @@ mod tests {
             snapshot.row(SEGMENT_ROWS).unwrap()[0],
             Value::Int(SEGMENT_ROWS as i64)
         );
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn batches_on_forks_merge_geometrically_and_never_copy_a_large_tail() {
+        // 1000 rows in the tail, then 64 batches of 32 rows, each landing on
+        // a table whose every segment a snapshot still holds
+        let (tail, batch, rounds) = (1000usize, 32usize, 64usize);
+        let mut t = int_table(SEGMENT_ROWS + tail);
+        let base = t.copy_stats();
+        let mut snapshots = Vec::new();
+        for round in 0..rounds {
+            snapshots.push(t.clone());
+            let before = t.copy_stats();
+            let rows = (0..batch).map(|i| vec![Value::Int(-((round * batch + i) as i64))]);
+            let ids = t.append(t.coerce_batch(rows.collect()).unwrap());
+            assert_eq!(ids.len(), batch);
+            t.check_invariants().unwrap();
+            // while the batches together weigh less than half the 1000-row
+            // tail they found, no batch copies it: at most the rows earlier
+            // batches brought in are copied again
+            let copied = (t.copy_stats() - before).rows_copied as usize;
+            if (round + 1) * batch < tail / 2 {
+                assert!(copied <= round * batch, "round {round} copied {copied}");
+            }
+        }
+        // over all rounds each row was copied O(log) times
+        let copied = (t.copy_stats() - base).rows_copied as usize;
+        let log = (rounds * batch).ilog2() as usize + 1;
+        assert!(
+            copied <= (tail + rounds * batch) * log,
+            "{copied} rows copied"
+        );
+        assert!(
+            t.segment_count() <= 2 + log,
+            "{} segments",
+            t.segment_count()
+        );
+        assert_eq!(t.row_count(), SEGMENT_ROWS + tail + rounds * batch);
+        // every snapshot still reads exactly the rows it was taken with
+        for (round, snapshot) in snapshots.iter().enumerate() {
+            assert_eq!(snapshot.row_count(), SEGMENT_ROWS + tail + round * batch);
+            snapshot.check_invariants().unwrap();
+        }
+        assert_eq!(
+            t.row(SEGMENT_ROWS + tail).unwrap()[0],
+            Value::Int(0),
+            "ids stay dense across merges"
+        );
+    }
+
+    #[test]
+    fn unshared_segments_are_merged_and_pruned_by_moving_rows() {
+        let mut t = int_table(3000);
+        let before = t.copy_stats();
+        t.delete_where(|r| r[0].as_int().unwrap() % 3 == 0);
+        t.insert_many((0..3000).map(|i| vec![Value::Int(-i)]))
+            .unwrap();
+        assert_eq!((t.copy_stats() - before).rows_copied, 0);
+        assert_eq!(t.segment_count(), 1);
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -552,5 +753,20 @@ mod tests {
         assert_eq!(removed.len(), 2 * SEGMENT_ROWS - SEGMENT_ROWS / 2);
         assert!(t.is_empty());
         assert_eq!(t.segment_count(), 0);
+    }
+
+    #[test]
+    fn a_delete_that_shrinks_segments_merges_them() {
+        let mut t = int_table(3 * SEGMENT_ROWS);
+        let snapshot = t.clone();
+        // keep one row in sixteen: three 1024-row remnants fit one segment
+        t.delete_where(|r| r[0].as_int().unwrap() % 16 != 0);
+        assert_eq!(t.row_count(), 3 * SEGMENT_ROWS / 16);
+        assert_eq!(t.segment_count(), 1);
+        t.check_invariants().unwrap();
+        let kept: Vec<i64> = t.rows_iter().map(|r| r[0].as_int().unwrap()).collect();
+        let expected: Vec<i64> = (0..3 * SEGMENT_ROWS as i64).step_by(16).collect();
+        assert_eq!(kept, expected);
+        assert_eq!(snapshot.row_count(), 3 * SEGMENT_ROWS);
     }
 }
