@@ -8,6 +8,7 @@
 //! from the metrics the executors already collect.
 
 use crate::system::EvaluationMode;
+use beas_engine::analyze::render_line;
 use beas_engine::{format_duration, AnalyzeNode, ExecutionMetrics, OptimizerProfile};
 use std::fmt;
 use std::time::Duration;
@@ -134,10 +135,11 @@ impl fmt::Display for PerformanceAnalysis {
 /// through BEAS (bounded when covered, partial/conventional otherwise) and
 /// one timed `EXPLAIN ANALYZE` run on the fallback engine, side by side.
 ///
-/// The BEAS breakdown stays flat — a bounded plan is a fetch *pipeline*
-/// (`Fetch(ψ1) → Fetch(ψ2) → …`), not an operator tree — while the
-/// baseline is rendered as the Fig. 3-style per-operator tree with
-/// `rows out` / `tuples accessed` / `time` on every node, including
+/// A bounded run renders as its fetch *pipeline* (`Fetch(ψ1)`, `Fetch(ψ2)`,
+/// … in execution order, flat) followed by the operator tree that finalizes
+/// the fetched context; the baseline is rendered as the Fig. 3-style
+/// per-operator tree.  Both trees come from the same engine operators and
+/// carry `rows out` / `tuples accessed` / `time` on every node, including
 /// `Exchange(..)` and `Vectorized(..)` annotations when those physical
 /// paths ran.
 #[derive(Debug, Clone)]
@@ -150,8 +152,12 @@ pub struct QueryAnalysis {
     pub deduced_bound: Option<u64>,
     /// Number of access constraints employed.
     pub constraints_used: usize,
-    /// The BEAS measurement (flat fetch-pipeline breakdown).
+    /// The BEAS measurement (every operator's line, flat).
     pub beas: SystemMeasurement,
+    /// The finalization of a bounded run as a per-operator tree over its
+    /// `Context` leaf — the last lines of `beas.metrics`, re-associated with
+    /// the plan.  `None` when the query did not run bounded.
+    pub beas_finalization: Option<AnalyzeNode>,
     /// The baseline measurement from the timed fallback-engine run.
     pub baseline: SystemMeasurement,
     /// The baseline's per-operator tree with runtime metrics attached.
@@ -203,7 +209,20 @@ impl QueryAnalysis {
             self.access_reduction()
         ));
         out.push_str("\n-- BEAS per-operation breakdown --\n");
-        out.push_str(&self.beas.metrics.render());
+        match &self.beas_finalization {
+            None => out.push_str(&self.beas.metrics.render()),
+            Some(tree) => {
+                let ops = &self.beas.metrics.operators;
+                let rendered = tree.render();
+                let (header, nodes) = rendered.split_once('\n').unwrap_or((&rendered, ""));
+                out.push_str(header);
+                out.push('\n');
+                for fetch in &ops[..ops.len().saturating_sub(tree.lines())] {
+                    out.push_str(&render_line(&fetch.operator, fetch));
+                }
+                out.push_str(nodes);
+            }
+        }
         out.push_str(&format!(
             "\n-- {} EXPLAIN ANALYZE --\n",
             self.baseline.system

@@ -17,15 +17,14 @@
 //!   processed, a deterministic lower bound on the fraction of the exact
 //!   answer set that was explored.
 
-use crate::executor::retain_matching;
+use crate::executor::{finalize, run_fetch, FetchConfig, KeyCap};
 use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, KeySource};
+use crate::plan::BoundedPlan;
 use beas_access::AccessIndexes;
-use beas_common::{BeasError, Result, Row, Value};
-use beas_engine::{aggregate, ExecutionMetrics};
+use beas_common::{BeasError, Result, Row, RowRef, Schema};
+use beas_engine::{ExecOptions, ExecutionMetrics};
 use beas_obs::clock;
-use beas_sql::{evaluate, BoundExpr, BoundQuery};
-use std::collections::{HashMap, HashSet};
+use beas_sql::BoundQuery;
 
 /// The result of a resource-bounded approximate execution.
 #[derive(Debug, Clone)]
@@ -33,7 +32,7 @@ pub struct ApproximateExecution {
     /// The (sound) answers produced within the budget.
     pub rows: Vec<Row>,
     /// Output schema of the answer rows.
-    pub schema: beas_common::Schema,
+    pub schema: Schema,
     /// Tuples fetched through constraint indices (guaranteed ≤ budget).
     pub tuples_accessed: u64,
     /// Deterministic lower bound on the fraction of the exact answer set
@@ -43,7 +42,9 @@ pub struct ApproximateExecution {
     pub metrics: ExecutionMetrics,
 }
 
-/// Execute a bounded plan under a hard budget on fetched tuples.
+/// Execute a bounded plan under a hard budget on fetched tuples: the exact
+/// executor's fetch step under a per-step key cap, then the plan's
+/// finalization over whatever context the capped steps produced.
 pub fn execute_with_budget(
     plan: &BoundedPlan,
     query: &BoundQuery,
@@ -58,225 +59,56 @@ pub fn execute_with_budget(
     }
     let start = clock::now();
     let mut metrics = ExecutionMetrics::new();
-    let mut schema = beas_common::Schema::empty();
-    let mut rows: Vec<Row> = vec![vec![]];
+    let mut schema = Schema::empty();
+    let mut rows = vec![RowRef::empty()];
     let mut tuples_accessed: u64 = 0;
     let mut coverage = 1.0f64;
     // Split the budget evenly across the fetch steps; each step may also use
     // budget left over by earlier steps.
-    let per_step = (budget / plan.fetches.len().max(1) as u64).max(1);
-    let mut remaining_budget = budget;
+    let steps = plan.fetches.len();
+    let per_step = (budget / steps.max(1) as u64).max(1);
 
     for (step_no, fetch) in plan.fetches.iter().enumerate() {
         let t = clock::now();
-        let index = indexes.for_constraint(&fetch.constraint).ok_or_else(|| {
-            BeasError::execution(format!("no index for constraint {}", fetch.constraint))
-        })?;
-        let atom_schema = &query.tables[fetch.atom].schema;
-        let key_types: Vec<beas_common::DataType> = fetch
-            .constraint
-            .x
-            .iter()
-            .map(|c| {
-                atom_schema
-                    .column(c)
-                    .map(|col| col.data_type)
-                    .unwrap_or(beas_common::DataType::Str)
-            })
-            .collect();
-
-        // Resolve ctx key positions.
-        let mut ctx_key_indices: Vec<Option<usize>> = Vec::new();
-        for k in &fetch.keys {
-            match k {
-                KeySource::Ctx(atom, col) => {
-                    let alias = &query.tables[*atom].alias;
-                    ctx_key_indices.push(schema.index_of_origin(alias, col));
-                }
-                _ => ctx_key_indices.push(None),
-            }
-        }
-
-        // Distinct keys in first-seen order.
-        let mut distinct_keys: Vec<Vec<Value>> = Vec::new();
-        let mut seen: HashSet<Vec<Value>> = HashSet::new();
-        let mut row_keys: Vec<Vec<Vec<Value>>> = Vec::new();
-        for row in &rows {
-            let mut alts: Vec<Vec<Value>> = vec![vec![]];
-            for ((k, ci), kt) in fetch.keys.iter().zip(&ctx_key_indices).zip(&key_types) {
-                let opts: Vec<Value> = match (k, ci) {
-                    (KeySource::Constant(v), _) => vec![v.clone()],
-                    (KeySource::Constants(vs), _) => vs.clone(),
-                    (KeySource::Ctx(_, _), Some(i)) => vec![row[*i].clone()],
-                    (KeySource::Ctx(_, _), None) => vec![Value::Null],
-                };
-                // NULL key values are dropped, matching the exact bounded
-                // executor: SQL equality never matches NULL, so a NULL key
-                // fetches nothing (the index's NULL bucket groups rows the
-                // baseline joins exclude).
-                let opts: Vec<Value> = opts
-                    .into_iter()
-                    .filter(|v| !v.is_null())
-                    .map(|v| beas_common::canonical_key_value(&v.cast(*kt).unwrap_or(v)))
-                    .collect();
-                let mut next = Vec::new();
-                for a in &alts {
-                    for o in &opts {
-                        let mut key = a.clone();
-                        key.push(o.clone());
-                        next.push(key);
-                    }
-                }
-                alts = next;
-            }
-            for key in &alts {
-                if seen.insert(key.clone()) {
-                    distinct_keys.push(key.clone());
-                }
-            }
-            row_keys.push(alts);
-        }
-
         // Cap the keys so that worst-case fetched tuples stay within this
         // step's share of the budget, and additionally stop as soon as the
         // next bucket would push the total over the global budget (hard
         // guarantee: tuples_accessed ≤ budget).
-        let step_budget = per_step.max(remaining_budget / (plan.fetches.len() - step_no) as u64);
-        let max_keys = (step_budget / fetch.constraint.n).max(1) as usize;
-        let mut buckets: HashMap<Vec<Value>, Vec<Row>> = HashMap::new();
-        let mut step_accessed: u64 = 0;
-        let mut processed = 0usize;
-        for key in distinct_keys.iter().take(max_keys) {
-            let bucket = index.fetch(key);
-            if tuples_accessed + step_accessed + bucket.len() as u64 > budget {
-                break;
-            }
-            step_accessed += bucket.len() as u64;
-            buckets.insert(key.clone(), bucket.to_vec());
-            processed += 1;
+        let remaining = budget - tuples_accessed;
+        let step_budget = per_step.max(remaining / (steps - step_no) as u64);
+        let cap = KeyCap {
+            max_keys: (step_budget / fetch.constraint.n).max(1) as usize,
+            max_tuples: remaining,
+        };
+        let step = run_fetch(
+            fetch,
+            query,
+            graph,
+            indexes,
+            &schema,
+            &rows,
+            FetchConfig::default(),
+            Some(cap),
+        )?;
+        if step.keys_total > 0 {
+            coverage *= step.keys_fetched as f64 / step.keys_total as f64;
         }
-        if !distinct_keys.is_empty() {
-            coverage *= processed as f64 / distinct_keys.len() as f64;
-        }
-        let allowed: HashSet<Vec<Value>> = distinct_keys.iter().take(processed).cloned().collect();
-        tuples_accessed += step_accessed;
-        remaining_budget = budget.saturating_sub(tuples_accessed);
-
-        // Extend the schema and join, exactly as the exact executor does.
-        let mut new_fields = schema.fields().to_vec();
-        for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
-            let dt = atom_schema
-                .column(col)
-                .map(|c| c.data_type)
-                .unwrap_or(beas_common::DataType::Str);
-            new_fields.push(beas_common::Field::base(
-                fetch.alias.clone(),
-                col.clone(),
-                dt,
-            ));
-        }
-        let new_schema = beas_common::Schema::new(new_fields);
-        let x_len = fetch.constraint.x.len();
-        let mut new_rows = Vec::new();
-        for (row, keys) in rows.iter().zip(&row_keys) {
-            for key in keys {
-                if !allowed.contains(key) {
-                    continue;
-                }
-                let Some(bucket) = buckets.get(key) else {
-                    continue;
-                };
-                for partial in bucket {
-                    let mut out = row.clone();
-                    out.extend(key.iter().take(x_len).cloned());
-                    out.extend(partial.iter().cloned());
-                    new_rows.push(out);
-                }
-            }
-        }
-        for pred in &fetch.post_filters {
-            let rewritten = crate::executor::rewrite_to_ctx(pred, query, graph, &new_schema)?;
-            new_rows = retain_matching(new_rows, &rewritten)?;
-        }
-        new_rows = beas_common::dedupe(new_rows);
+        tuples_accessed += step.accessed;
         metrics.record(
             format!("ApproxFetch({})", fetch.constraint.id()),
-            new_rows.len() as u64,
-            step_accessed,
+            step.rows.len() as u64,
+            step.accessed,
             t.elapsed(),
         );
-        schema = new_schema;
-        rows = new_rows;
+        schema = step.schema;
+        rows = step.rows;
     }
 
-    // Finalization (same semantics as the exact bounded executor, including
-    // predicate-error propagation).
-    for pred in &plan.residual_predicates {
-        let rewritten = crate::executor::rewrite_to_ctx(pred, query, graph, &schema)?;
-        rows = retain_matching(rows, &rewritten)?;
-    }
-    let mut out: Vec<Row>;
-    if query.is_aggregate {
-        let group_by: Vec<BoundExpr> = query
-            .group_by
-            .iter()
-            .map(|g| crate::executor::rewrite_to_ctx(g, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        let mut aggs = query.aggregates.clone();
-        for a in &mut aggs {
-            if let Some(arg) = &a.arg {
-                a.arg = Some(crate::executor::rewrite_to_ctx(arg, query, graph, &schema)?);
-            }
-        }
-        let mut agg_rows = aggregate(&rows, &group_by, &aggs)?;
-        if let Some(h) = &query.having {
-            agg_rows = retain_matching(agg_rows, h)?;
-        }
-        out = Vec::new();
-        for r in &agg_rows {
-            let mut p = Vec::new();
-            for (e, _) in &query.output {
-                p.push(evaluate(e, r)?);
-            }
-            out.push(p);
-        }
-    } else {
-        let outputs: Vec<BoundExpr> = query
-            .output
-            .iter()
-            .map(|(e, _)| crate::executor::rewrite_to_ctx(e, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        out = Vec::new();
-        let mut seen = HashSet::new();
-        for r in &rows {
-            let mut p = Vec::new();
-            for e in &outputs {
-                p.push(evaluate(e, r)?);
-            }
-            if seen.insert(p.clone()) {
-                out.push(p);
-            }
-        }
-    }
-    if !query.order_by.is_empty() {
-        out.sort_by(|a, b| {
-            for (idx, asc) in &query.order_by {
-                let o = a[*idx].total_cmp(&b[*idx]);
-                let o = if *asc { o } else { o.reverse() };
-                if o != std::cmp::Ordering::Equal {
-                    return o;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(l) = query.limit {
-        out.truncate(l as usize);
-    }
+    let rows = finalize(plan, rows, &mut metrics, &ExecOptions::default())?;
     metrics.elapsed = start.elapsed();
 
     Ok(ApproximateExecution {
-        rows: out,
+        rows,
         schema: query.output_schema.clone(),
         tuples_accessed,
         coverage,
@@ -290,9 +122,10 @@ mod tests {
     use crate::checker::Checker;
     use crate::planner::generate_bounded_plan;
     use beas_access::{build_indexes, AccessConstraint, AccessSchema};
-    use beas_common::{ColumnDef, DataType, TableSchema};
+    use beas_common::{ColumnDef, DataType, TableSchema, Value};
     use beas_sql::{parse_select, Binder};
     use beas_storage::Database;
+    use std::collections::HashSet;
 
     fn setup() -> (Database, AccessSchema, AccessIndexes) {
         let mut db = Database::new();

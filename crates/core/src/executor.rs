@@ -7,7 +7,9 @@
 //! partial tuples through the constraint's modified hash index, joins them
 //! back onto `T`, and applies the predicates that have become checkable.
 //! Base data is touched **only** inside `fetch`; every other operator works
-//! on the bounded intermediates.
+//! on the bounded intermediates: the plan's finalization is an engine
+//! [`LogicalPlan`](beas_engine::LogicalPlan) over the final context, run by
+//! the engine's own operators ([`beas_engine::execute`]).
 //!
 //! Answers are produced under set semantics (distinct rows): constraint
 //! indices store distinct partial tuples, which is also why the checker only
@@ -17,12 +19,12 @@ use crate::graph::QueryGraph;
 use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
 use beas_access::AccessIndexes;
 use beas_common::{
-    dedupe, BeasError, DedupeStream, Field, FilterStream, QuotaTracker, Result, Row, RowRef,
-    RowStream, Schema, Value,
+    default_workers, morsel_count, morsel_range, scatter, BeasError, DedupeStream, Field,
+    FilterStream, MorselQueue, QuotaTracker, Result, Row, RowRef, RowStream, Schema, Value,
 };
-use beas_engine::{aggregate, ExecutionMetrics};
+use beas_engine::{execute, ExecOptions, ExecutionMetrics, Input};
 use beas_obs::clock;
-use beas_sql::{evaluate, evaluate_predicate, BoundExpr, BoundQuery};
+use beas_sql::{evaluate_predicate, BoundExpr, BoundQuery};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -38,10 +40,8 @@ pub const PARALLEL_FETCH_MAX_WORKERS: usize = 8;
 
 /// Tuning knobs of the bounded fetch stage.
 ///
-/// The defaults match the hard-coded production values; deployments with
-/// different key-set shapes (a service serving many small sessions, or one
-/// analytic session with huge IN-lists) tune them through
-/// [`crate::BeasSystem::with_parallel_fetch_min_keys`].
+/// The defaults are the production values; tests lower `parallel_min_keys`
+/// to force the parallel path on a handful of keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchConfig {
     /// Minimum distinct fetch keys before the key set is partitioned across
@@ -91,16 +91,7 @@ pub struct BoundedExecution {
 
 /// Execute the fetch stages of a bounded plan, producing the context
 /// relation.  Used directly by partially bounded evaluation.
-pub fn execute_ctx<'a>(
-    plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &'a AccessIndexes,
-) -> Result<CtxResult<'a>> {
-    execute_ctx_with(plan, query, graph, indexes, FetchConfig::default(), None)
-}
-
-/// [`execute_ctx`] with explicit fetch tuning and an optional session quota.
+///
 /// The quota is charged once per fetch step with the partial tuples that
 /// step accessed — fetch steps are the only place bounded plans touch base
 /// data — so an in-flight bounded query whose actual access exceeds its
@@ -124,21 +115,29 @@ pub fn execute_ctx_with<'a>(
         if let Some(q) = quota {
             q.checkpoint()?;
         }
-        let (new_schema, new_rows, accessed) =
-            run_fetch(fetch, query, graph, indexes, &schema, &rows, fetch_config)?;
-        tuples_accessed += accessed;
+        let step = run_fetch(
+            fetch,
+            query,
+            graph,
+            indexes,
+            &schema,
+            &rows,
+            fetch_config,
+            None,
+        )?;
+        tuples_accessed += step.accessed;
         if let Some(q) = quota {
-            q.charge_tuples(accessed)?;
+            q.charge_tuples(step.accessed)?;
         }
 
         metrics.record(
             format!("Fetch({})", fetch.constraint.id()),
-            new_rows.len() as u64,
-            accessed,
+            step.rows.len() as u64,
+            step.accessed,
             start.elapsed(),
         );
-        schema = new_schema;
-        rows = new_rows;
+        schema = step.schema;
+        rows = step.rows;
     }
 
     metrics.elapsed = start_all.elapsed();
@@ -157,171 +156,96 @@ pub fn execute_bounded(
     graph: &QueryGraph,
     indexes: &AccessIndexes,
 ) -> Result<BoundedExecution> {
-    execute_bounded_with(plan, query, graph, indexes, FetchConfig::default(), None)
+    let opts = ExecOptions::default();
+    execute_bounded_with(plan, query, graph, indexes, FetchConfig::default(), &opts)
 }
 
-/// [`execute_bounded`] with explicit fetch tuning and an optional session
-/// quota (see [`execute_ctx_with`] for the charging discipline).
+/// [`execute_bounded`] with explicit fetch tuning and engine options: the
+/// session quota is charged by the fetch steps (see [`execute_ctx_with`])
+/// and its deadline re-checked by the finalization's blocking operators.
 pub fn execute_bounded_with(
     plan: &BoundedPlan,
     query: &BoundQuery,
     graph: &QueryGraph,
     indexes: &AccessIndexes,
     fetch_config: FetchConfig,
-    quota: Option<&QuotaTracker>,
+    opts: &ExecOptions<'_>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let ctx = execute_ctx_with(plan, query, graph, indexes, fetch_config, quota)?;
-    let mut metrics = ctx.metrics.clone();
-    let mut rows = ctx.rows;
-    let schema = ctx.schema;
-
-    // Residual predicates spanning several atoms; errors propagate like the
-    // baseline's Filter operator.
-    if !plan.residual_predicates.is_empty() {
-        let t = clock::now();
-        for pred in &plan.residual_predicates {
-            let rewritten = rewrite_to_ctx(pred, query, graph, &schema)?;
-            rows = retain_matching(rows, &rewritten)?;
-        }
-        metrics.record("ResidualFilter", rows.len() as u64, 0, t.elapsed());
-    }
-
-    // Finalization: aggregation / projection / distinct / order / limit,
-    // mirroring the baseline engine's semantics over the bounded context.
-    let t = clock::now();
-    let mut out: Vec<Row>;
-    if query.is_aggregate {
-        let group_by: Vec<BoundExpr> = query
-            .group_by
-            .iter()
-            .map(|g| rewrite_to_ctx(g, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        let mut aggregates = query.aggregates.clone();
-        for agg in &mut aggregates {
-            if let Some(arg) = &agg.arg {
-                agg.arg = Some(rewrite_to_ctx(arg, query, graph, &schema)?);
-            }
-        }
-        let mut agg_rows = aggregate(&rows, &group_by, &aggregates)?;
-        if let Some(h) = &query.having {
-            agg_rows = retain_matching(agg_rows, h)?;
-        }
-        out = Vec::with_capacity(agg_rows.len());
-        for r in &agg_rows {
-            let mut projected = Vec::with_capacity(query.output.len());
-            for (e, _) in &query.output {
-                projected.push(evaluate(e, r)?);
-            }
-            out.push(projected);
-        }
-    } else {
-        let outputs: Vec<BoundExpr> = query
-            .output
-            .iter()
-            .map(|(e, _)| rewrite_to_ctx(e, query, graph, &schema))
-            .collect::<Result<_>>()?;
-        out = Vec::with_capacity(rows.len());
-        for r in &rows {
-            let mut projected = Vec::with_capacity(outputs.len());
-            for e in &outputs {
-                projected.push(evaluate(e, r)?);
-            }
-            out.push(projected);
-        }
-        // set semantics on the projected answer
-        out = dedupe(out);
-    }
-
-    // ORDER BY / LIMIT.
-    if !query.order_by.is_empty() {
-        out.sort_by(|a, b| {
-            for (idx, asc) in &query.order_by {
-                let ord = a[*idx].total_cmp(&b[*idx]);
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-    if let Some(limit) = query.limit {
-        out.truncate(limit as usize);
-    }
-    metrics.record("Finalize", out.len() as u64, 0, t.elapsed());
+    let ctx = execute_ctx_with(plan, query, graph, indexes, fetch_config, opts.quota)?;
+    let mut metrics = ctx.metrics;
+    let rows = finalize(plan, ctx.rows, &mut metrics, opts)?;
     metrics.elapsed = start.elapsed();
-
     Ok(BoundedExecution {
-        rows: out,
+        rows,
         metrics,
         tuples_accessed: ctx.tuples_accessed,
     })
 }
 
-/// Keep the rows satisfying `pred`, propagating evaluation errors — the
-/// baseline engine's Filter semantics.  Shared by the exact bounded executor
-/// and the resource-bounded approximation so neither swallows type errors.
-pub(crate) fn retain_matching<R: beas_common::ValueRow>(
-    rows: Vec<R>,
-    pred: &BoundExpr,
-) -> Result<Vec<R>> {
-    let mut kept = Vec::with_capacity(rows.len());
-    for r in rows {
-        if evaluate_predicate(pred, &r)? {
-            kept.push(r);
-        }
-    }
-    Ok(kept)
+/// Turn the fetched context into the answer by running the plan's
+/// finalization on the engine's operators, which append their lines to
+/// `metrics` after the fetch steps'.
+pub(crate) fn finalize<'a>(
+    plan: &'a BoundedPlan,
+    context: Vec<RowRef<'a>>,
+    metrics: &mut ExecutionMetrics,
+    opts: &ExecOptions<'a>,
+) -> Result<Vec<Row>> {
+    let finalization = plan.finalization.as_ref().map_err(BeasError::clone)?;
+    execute(finalization, Input::Context(context), metrics, opts)
 }
 
 /// Distinct fetch key → (shared X-prefix segment, borrowed index bucket).
 type FetchBuckets<'a> = HashMap<Vec<Value>, (Arc<Row>, &'a [Row])>;
 
-/// Fetch the buckets of `keys`, partitioning the key set across scoped
-/// worker threads when it is large enough to pay for them.
+/// A cap on one fetch step, set by resource-bounded approximation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KeyCap {
+    /// Only the first `max_keys` distinct keys (first-seen order) are
+    /// candidates for a lookup.
+    pub max_keys: usize,
+    /// The step stops before the first bucket that would take its accessed
+    /// tuples past this.
+    pub max_tuples: u64,
+}
+
+/// Fetch the buckets of `keys` in order, stopping before the first bucket
+/// that would take the accessed tuples past `max_tuples`; returns the
+/// buckets taken and the tuples they hold.  A key set large enough to pay
+/// for worker threads is looked up in chunks on the shared morsel driver.
 ///
-/// The merge is deterministic: workers own contiguous chunks of the key
-/// list and return buckets positionally aligned with their chunk, so the
-/// assembled map and the total access count are identical to a serial
-/// `fetch_buckets` over the whole list regardless of thread scheduling.
+/// The merge is deterministic: [`scatter`] returns the chunks in key order
+/// and each chunk's buckets are positionally aligned with its keys, so the
+/// assembled map and the access count are identical to a serial walk over
+/// the whole list regardless of thread scheduling.
 fn fetch_buckets_keyed<'a>(
     index: &'a beas_storage::ConstraintIndex,
     keys: &[Vec<Value>],
     x_len: usize,
     config: FetchConfig,
+    max_tuples: u64,
 ) -> (FetchBuckets<'a>, u64) {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(config.max_workers.max(1));
-    let fetched: Vec<(Vec<&'a [Row]>, u64)> = if keys.len() < config.parallel_min_keys
-        || workers < 2
-    {
-        vec![index.fetch_buckets(keys.iter().map(|k| k.as_slice()))]
+    let workers = if keys.len() < config.parallel_min_keys {
+        1
     } else {
-        let chunk = keys.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = keys
-                .chunks(chunk)
-                .map(|part| s.spawn(move || index.fetch_buckets(part.iter().map(|k| k.as_slice()))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fetch worker panicked"))
-                .collect()
-        })
+        default_workers(config.max_workers)
     };
+    let chunk = keys.len().div_ceil(workers);
+    let queue = MorselQueue::new(morsel_count(keys.len(), chunk));
+    let fetched = scatter(&queue, workers, |i| {
+        let part = &keys[morsel_range(i, keys.len(), chunk)];
+        index.fetch_buckets(part.iter().map(|k| k.as_slice())).0
+    });
     let mut buckets: FetchBuckets<'a> = HashMap::with_capacity(keys.len());
     let mut accessed = 0u64;
-    let mut key_iter = keys.iter();
-    for (chunk_buckets, chunk_accessed) in fetched {
-        accessed += chunk_accessed;
-        for bucket in chunk_buckets {
-            let key = key_iter.next().expect("bucket per key");
-            let x_prefix: Arc<Row> = Arc::new(key[..x_len].to_vec());
-            buckets.insert(key.clone(), (x_prefix, bucket));
+    for (key, bucket) in keys.iter().zip(fetched.results.into_iter().flatten()) {
+        if accessed + bucket.len() as u64 > max_tuples {
+            break;
         }
+        accessed += bucket.len() as u64;
+        let x_prefix: Arc<Row> = Arc::new(key[..x_len].to_vec());
+        buckets.insert(key.clone(), (x_prefix, bucket));
     }
     (buckets, accessed)
 }
@@ -383,8 +307,48 @@ impl<'a> RowStream<'a> for FetchJoinStream<'_, 'a> {
     }
 }
 
-/// Run one fetch step: returns the extended schema, the joined (filtered,
-/// deduplicated) rows and the number of partial tuples accessed.
+/// What one fetch step produced.
+pub(crate) struct FetchStepOutput<'a> {
+    /// The context schema extended with the fetched atom's attributes.
+    pub schema: Schema,
+    /// The joined, filtered, deduplicated context rows.
+    pub rows: Vec<RowRef<'a>>,
+    /// Partial tuples accessed through the constraint index.
+    pub accessed: u64,
+    /// Distinct keys the context asked for.
+    pub keys_total: usize,
+    /// How many of them were looked up: all, unless a [`KeyCap`] cut the
+    /// step short.
+    pub keys_fetched: usize,
+}
+
+/// The context schema after `fetch`: `schema` plus the X and Y attributes of
+/// the fetched atom, qualified by its alias.
+pub(crate) fn schema_after_fetch(
+    fetch: &PlannedFetch,
+    query: &BoundQuery,
+    schema: &Schema,
+) -> Result<Schema> {
+    let atom_schema = &query.tables[fetch.atom].schema;
+    let mut fields: Vec<Field> = schema.fields().to_vec();
+    for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
+        let dt = atom_schema
+            .column(col)
+            .map(|c| c.data_type)
+            .ok_or_else(|| {
+                BeasError::execution(format!(
+                    "constraint column {col:?} missing from table {:?}",
+                    atom_schema.name
+                ))
+            })?;
+        fields.push(Field::base(fetch.alias.clone(), col.clone(), dt));
+    }
+    Ok(Schema::new(fields))
+}
+
+/// Run one fetch step over the context `rows`.  With a `cap` only a prefix
+/// of the distinct keys is looked up and context rows whose key was left
+/// out join nothing — the step resource-bounded approximation runs.
 ///
 /// The join → post-filter → dedupe chain runs as one pull-based pipeline
 /// over [`RowStream`] adapters: each joined row is checked against the
@@ -392,7 +356,8 @@ impl<'a> RowStream<'a> for FetchJoinStream<'_, 'a> {
 /// incrementally, without materializing the unfiltered join.  Evaluation
 /// errors (e.g. a type error in a predicate) propagate, matching the
 /// baseline engine, instead of silently dropping rows.
-fn run_fetch<'a>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_fetch<'a>(
     fetch: &PlannedFetch,
     query: &BoundQuery,
     graph: &QueryGraph,
@@ -400,14 +365,14 @@ fn run_fetch<'a>(
     schema: &Schema,
     rows: &[RowRef<'a>],
     fetch_config: FetchConfig,
-) -> Result<(Schema, Vec<RowRef<'a>>, u64)> {
+    cap: Option<KeyCap>,
+) -> Result<FetchStepOutput<'a>> {
     let index = indexes.for_constraint(&fetch.constraint).ok_or_else(|| {
         BeasError::execution(format!(
             "no index built for access constraint {}",
             fetch.constraint
         ))
     })?;
-    let _ = graph;
 
     // The declared types of the constraint's key attributes: constants coming
     // from SQL literals (e.g. a date written as a string) are cast to them so
@@ -505,29 +470,21 @@ fn run_fetch<'a>(
     // Fetch each distinct key once, counting accessed partial tuples.  The
     // bucket slices are borrowed from the index — no copy — and the key's
     // X-prefix becomes a single shared segment reused by every joined row.
-    // Large key sets are partitioned across scoped worker threads.
+    // Under a cap only a prefix of the keys, in first-seen order, is fetched.
     let x_len = fetch.constraint.x.len();
-    let (buckets, accessed) = fetch_buckets_keyed(index, &distinct_keys, x_len, fetch_config);
+    let (candidates, max_tuples) = match cap {
+        Some(cap) => (distinct_keys.len().min(cap.max_keys), cap.max_tuples),
+        None => (distinct_keys.len(), u64::MAX),
+    };
+    let (buckets, accessed) = fetch_buckets_keyed(
+        index,
+        &distinct_keys[..candidates],
+        x_len,
+        fetch_config,
+        max_tuples,
+    );
 
-    // Extend the schema with the fetched atom's X and Y attributes.
-    let alias = &fetch.alias;
-    let atom_schema = &query.tables[fetch.atom].schema;
-    let mut new_fields: Vec<Field> = schema.fields().to_vec();
-    let mut added_cols: Vec<String> = Vec::new();
-    for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
-        let dt = atom_schema
-            .column(col)
-            .map(|c| c.data_type)
-            .ok_or_else(|| {
-                BeasError::execution(format!(
-                    "constraint column {col:?} missing from table {:?}",
-                    atom_schema.name
-                ))
-            })?;
-        new_fields.push(Field::base(alias.clone(), col.clone(), dt));
-        added_cols.push(col.clone());
-    }
-    let new_schema = Schema::new(new_fields);
+    let new_schema = schema_after_fetch(fetch, query, schema)?;
 
     // Join → post-filter → dedupe as one pull-based pipeline.
     let mut filters = Vec::with_capacity(fetch.post_filters.len());
@@ -543,7 +500,13 @@ fn run_fetch<'a>(
     }
     // Set semantics: the context holds distinct rows.
     let new_rows = DedupeStream::new(stream).collect_rows()?;
-    Ok((new_schema, new_rows, accessed))
+    Ok(FetchStepOutput {
+        schema: new_schema,
+        rows: new_rows,
+        accessed,
+        keys_total: distinct_keys.len(),
+        keys_fetched: buckets.len(),
+    })
 }
 
 /// Rewrite an expression bound over the query's flat input schema so that it
@@ -880,6 +843,94 @@ mod tests {
     }
 
     #[test]
+    fn approximation_fails_exactly_where_exact_execution_does() {
+        // Approximation runs the exact executor's fetch step, so it inherits
+        // its error discipline: a type error in a predicate, and a key
+        // literal that cannot be cast to the constraint's key type, surface
+        // with the same kind on both paths instead of a silent answer.
+        let (db, schema, indexes) = setup();
+        for (sql, kind) in [
+            (
+                "select recnum from call \
+                 where pnum = 'b1' and date = '2016-07-04' and region > 5",
+                "type",
+            ),
+            (
+                "select recnum from call where pnum = 'b1' and date = 'not-a-date'",
+                "parse",
+            ),
+        ] {
+            let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
+            let graph = QueryGraph::build(&bound).unwrap();
+            let coverage = Checker::new(&schema).check(&bound, &graph);
+            assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
+            let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
+            let exact = execute_bounded(&plan, &bound, &graph, &indexes)
+                .expect_err("exact execution must fail");
+            let approx = crate::approx::execute_with_budget(&plan, &bound, &graph, &indexes, 1_000)
+                .expect_err("approximation must fail, not answer");
+            assert_eq!(approx.kind(), exact.kind(), "{sql}");
+            assert_eq!(exact.kind(), kind, "{sql}");
+        }
+    }
+
+    #[test]
+    fn order_by_limit_with_ties_equals_the_full_sort_prefix() {
+        // The finalization's Sort under a Limit runs the engine's stable
+        // top-k heap: with ties on the sort key its answer must be exactly
+        // the prefix of the full (stable) sort, for every k.
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "call",
+                vec![
+                    ColumnDef::new("pnum", DataType::Str),
+                    ColumnDef::new("recnum", DataType::Str),
+                    ColumnDef::new("region", DataType::Str),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        // 12 distinct receivers spread over 3 regions: every region ties 4x
+        for i in 0..12 {
+            db.insert(
+                "call",
+                vec![
+                    Value::str("b1"),
+                    Value::str(format!("r{:02}", (i * 7) % 12)),
+                    Value::str(["east", "west", "north"][i % 3]),
+                ],
+            )
+            .unwrap();
+        }
+        let schema = AccessSchema::from_constraints(vec![AccessConstraint::new(
+            "call",
+            &["pnum"],
+            &["recnum", "region"],
+            100,
+        )
+        .unwrap()]);
+        let indexes = build_indexes(&db, &schema).unwrap();
+        let run = |sql: &str| {
+            let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
+            let graph = QueryGraph::build(&bound).unwrap();
+            let coverage = Checker::new(&schema).check(&bound, &graph);
+            assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
+            let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
+            execute_bounded(&plan, &bound, &graph, &indexes).unwrap()
+        };
+        let base = "select recnum, region from call where pnum = 'b1' order by region desc";
+        let full = run(base).rows;
+        assert_eq!(full.len(), 12);
+        for k in [0, 1, 4, 5, 11, 12, 20] {
+            let limited = run(&format!("{base} limit {k}"));
+            assert_eq!(limited.rows, full[..k.min(12)], "limit {k}");
+            assert!(limited.metrics.render().contains("Sort"));
+        }
+    }
+
+    #[test]
     fn null_fetch_keys_join_nothing_like_the_baseline() {
         // business.pnum is nullable; the fetch of `call` is keyed on the
         // context's pnum values.  The constraint index groups NULLs
@@ -1040,29 +1091,23 @@ mod tests {
         let tracker = beas_common::ResourceQuota::unlimited()
             .with_max_tuples(100)
             .tracker();
-        let ok = execute_bounded_with(
-            &plan,
-            &bound,
-            &graph,
-            &indexes,
-            FetchConfig::default(),
-            Some(&tracker),
-        )
-        .unwrap();
+        let charged = ExecOptions {
+            quota: Some(&tracker),
+            ..ExecOptions::default()
+        };
+        let fetch = FetchConfig::default();
+        let ok = execute_bounded_with(&plan, &bound, &graph, &indexes, fetch, &charged).unwrap();
         assert_eq!(tracker.tuples_used(), ok.tuples_accessed);
         // a 1-tuple quota trips on the 2-tuple fetch with a structured error
         let tight = beas_common::ResourceQuota::unlimited()
             .with_max_tuples(1)
             .tracker();
-        let err = execute_bounded_with(
-            &plan,
-            &bound,
-            &graph,
-            &indexes,
-            FetchConfig::default(),
-            Some(&tight),
-        )
-        .expect_err("fetch exceeds the 1-tuple quota");
+        let charged = ExecOptions {
+            quota: Some(&tight),
+            ..ExecOptions::default()
+        };
+        let err = execute_bounded_with(&plan, &bound, &graph, &indexes, fetch, &charged)
+            .expect_err("fetch exceeds the 1-tuple quota");
         assert_eq!(err.kind(), "quota_exceeded");
         assert!(tight.is_tripped());
     }
@@ -1084,7 +1129,9 @@ mod tests {
             parallel_min_keys: 1,
             max_workers: 4,
         };
-        let parallel = execute_bounded_with(&plan, &bound, &graph, &indexes, forced, None).unwrap();
+        let opts = ExecOptions::default();
+        let parallel =
+            execute_bounded_with(&plan, &bound, &graph, &indexes, forced, &opts).unwrap();
         assert_eq!(serial.rows, parallel.rows);
         assert_eq!(serial.tuples_accessed, parallel.tuples_accessed);
     }

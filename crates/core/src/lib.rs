@@ -13,10 +13,12 @@
 //! * [`planner`] / [`plan`] — the **BE Plan Generator**: bounded plans built
 //!   from `fetch` operations, each annotated with a deduced bound;
 //! * [`executor`] — the **BE Plan Executor**: runs `fetch` against the
-//!   constraint indices and finalizes answers over bounded intermediates;
+//!   constraint indices and hands the bounded intermediates to the engine's
+//!   operators for finalization;
 //! * [`partial`] — the **BE Plan Optimizer**: partially bounded plans for
 //!   queries that are not covered;
-//! * [`approx`] — resource-bounded approximation under a tuple budget;
+//! * [`approx`] — resource-bounded approximation: the same fetch steps
+//!   under a tuple budget;
 //! * [`analyzer`] — Fig. 3-style performance analyses;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
 //!   the storage layer and the conventional engine.
@@ -35,8 +37,8 @@ pub use analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
 pub use approx::ApproximateExecution;
 pub use checker::{Checker, CoverageResult, FetchStep};
 pub use executor::{
-    execute_bounded, execute_bounded_with, execute_ctx, execute_ctx_with, BoundedExecution,
-    CtxResult, FetchConfig, PARALLEL_FETCH_MIN_KEYS,
+    execute_bounded, execute_bounded_with, execute_ctx_with, BoundedExecution, CtxResult,
+    FetchConfig, PARALLEL_FETCH_MIN_KEYS,
 };
 pub use graph::{Atom, QueryGraph};
 pub use partial::{

@@ -2,14 +2,16 @@
 //!
 //! A bounded plan answers a query by a sequence of `fetch(X ∈ T, Y, R)`
 //! operations, each controlled by an access constraint, followed by ordinary
-//! relational operators over the (small) fetched intermediates.  Every fetch
+//! relational operators — an engine [`LogicalPlan`] — over the (small)
+//! fetched intermediates.  Every fetch
 //! is annotated with an upper bound on the number of tuples it may access,
 //! deduced from the cardinality constraints *before execution* — this is what
 //! the demo's budget check (scenario 1(a)) and Fig. 2(B)'s annotated plans
 //! show.
 
 use beas_access::AccessConstraint;
-use beas_common::Value;
+use beas_common::{Result, Value};
+use beas_engine::LogicalPlan;
 use beas_sql::BoundExpr;
 use std::fmt;
 
@@ -62,17 +64,20 @@ pub struct PlannedFetch {
 pub struct BoundedPlan {
     /// Fetch steps in execution order.
     pub fetches: Vec<PlannedFetch>,
-    /// Residual predicates (spanning several atoms, non-equality) applied
-    /// after all fetches, over the flat input schema.
-    pub residual_predicates: Vec<BoundExpr>,
     /// Total upper bound on tuples accessed by the whole plan
     /// (`Σ` per-fetch bounds), deduced before execution.
     pub total_bound: u64,
     /// Number of distinct access constraints employed.
     pub constraints_used: usize,
-    /// Human-readable description of the finalization stage
-    /// (aggregation / projection / distinct / order / limit).
-    pub finalization: String,
+    /// What turns the fetched context into the answer, run by the engine's
+    /// operators: a [`LogicalPlan::Context`] leaf under the residual filters
+    /// (predicates spanning several atoms), aggregation with HAVING,
+    /// projection, duplicate elimination, sort and limit.  An `Err` names
+    /// the column the answer reads and the context lacks, which only a plan
+    /// that fetches part of the query can have — partially bounded
+    /// evaluation hands that residue to the conventional engine and never
+    /// looks here.
+    pub finalization: Result<LogicalPlan>,
 }
 
 impl BoundedPlan {
@@ -102,10 +107,15 @@ impl BoundedPlan {
                 out.push_str(&format!("       then filter {p}\n"));
             }
         }
-        for p in &self.residual_predicates {
-            out.push_str(&format!("  residual filter {p}\n"));
+        match &self.finalization {
+            Ok(finalization) => {
+                out.push_str("  finalize:\n");
+                for line in finalization.explain().lines() {
+                    out.push_str(&format!("    {line}\n"));
+                }
+            }
+            Err(why) => out.push_str(&format!("  finalize: not from this context ({why})\n")),
         }
-        out.push_str(&format!("  finalize: {}\n", self.finalization));
         out
     }
 
@@ -139,10 +149,13 @@ mod tests {
                 bound: 2000,
                 post_filters: vec![],
             }],
-            residual_predicates: vec![],
             total_bound: 2000,
             constraints_used: 1,
-            finalization: "project business.pnum, distinct".into(),
+            finalization: Ok(LogicalPlan::Distinct {
+                input: Box::new(LogicalPlan::Context {
+                    schema: beas_common::Schema::empty(),
+                }),
+            }),
         }
     }
 
@@ -153,7 +166,7 @@ mod tests {
         assert!(s.contains("total bound 2000 tuples"));
         assert!(s.contains("'t0'"));
         assert!(s.contains("≤ 2000 tuples"));
-        assert!(s.contains("finalize: project"));
+        assert!(s.contains("finalize:\n    Distinct\n      Context\n"));
         assert_eq!(format!("{plan}"), s);
     }
 

@@ -2,9 +2,11 @@
 //! [`BoundedPlan`] with per-fetch bound annotations.
 
 use crate::checker::CoverageResult;
+use crate::executor::{rewrite_to_ctx, schema_after_fetch};
 use crate::graph::{QueryGraph, Term};
 use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
-use beas_common::{BeasError, Result};
+use beas_common::{BeasError, Result, Schema};
+use beas_engine::{finalize_plan, LogicalPlan};
 use beas_sql::ast::BinaryOperator;
 use beas_sql::{BoundExpr, BoundQuery};
 use std::collections::BTreeSet;
@@ -190,11 +192,41 @@ pub fn generate_plan_for_steps(
     };
 
     Ok(BoundedPlan {
+        finalization: finalization_plan(query, graph, &fetches, &residual_predicates),
         fetches,
-        residual_predicates,
         total_bound,
         constraints_used,
-        finalization: describe_finalization(query),
+    })
+}
+
+/// The plan that turns the context `fetches` leave behind into the answer:
+/// one filter per residual predicate (applied in turn, as the fetch steps
+/// apply their post-filters), then the nodes the baseline planner stacks on
+/// its join tree — every expression rebound to the context once, here.
+/// Bounded answers have set semantics, so a non-aggregate projection is
+/// always deduplicated.
+fn finalization_plan(
+    query: &BoundQuery,
+    graph: &QueryGraph,
+    fetches: &[PlannedFetch],
+    residual_predicates: &[BoundExpr],
+) -> Result<LogicalPlan> {
+    let mut schema = Schema::empty();
+    for fetch in fetches {
+        schema = schema_after_fetch(fetch, query, &schema)?;
+    }
+    let mut plan = LogicalPlan::Context {
+        schema: schema.clone(),
+    };
+    for pred in residual_predicates {
+        plan = LogicalPlan::Filter {
+            input: Box::new(plan),
+            predicate: rewrite_to_ctx(pred, query, graph, &schema)?,
+        };
+    }
+    let distinct = query.distinct || !query.is_aggregate;
+    finalize_plan(query, plan, distinct, |e| {
+        rewrite_to_ctx(e, query, graph, &schema)
     })
 }
 
@@ -249,32 +281,6 @@ pub fn global_index(query: &BoundQuery, atom: usize, column: &str) -> Result<usi
                 t.table
             ))
         })
-}
-
-fn describe_finalization(query: &BoundQuery) -> String {
-    let mut parts = Vec::new();
-    if query.is_aggregate {
-        let groups: Vec<String> = query.group_by.iter().map(|g| g.to_string()).collect();
-        let aggs: Vec<String> = query.aggregates.iter().map(|a| a.display.clone()).collect();
-        parts.push(format!(
-            "aggregate group=[{}] aggs=[{}]",
-            groups.join(", "),
-            aggs.join(", ")
-        ));
-        if query.having.is_some() {
-            parts.push("having".to_string());
-        }
-    }
-    let outs: Vec<String> = query.output.iter().map(|(_, n)| n.clone()).collect();
-    parts.push(format!("project [{}]", outs.join(", ")));
-    parts.push("distinct".to_string());
-    if !query.order_by.is_empty() {
-        parts.push("sort".to_string());
-    }
-    if let Some(l) = query.limit {
-        parts.push(format!("limit {l}"));
-    }
-    parts.join(", ")
 }
 
 #[cfg(test)]
@@ -394,8 +400,13 @@ mod tests {
         assert!(matches!(plan.fetches[2].keys[1], KeySource::Constant(_)));
         // the pid / start / end selections are attached to the package step
         assert!(plan.fetches[1].post_filters.len() >= 3);
-        // finalization mentions the projection
-        assert!(plan.finalization.contains("project"));
+        // the finalization projects the distinct regions out of the context
+        let finalization = plan.finalization.unwrap().explain();
+        assert!(
+            finalization.starts_with("Distinct\n  Project("),
+            "{finalization}"
+        );
+        assert!(finalization.ends_with("Context\n"), "{finalization}");
     }
 
     #[test]

@@ -26,7 +26,8 @@ use beas_access::{
 };
 use beas_common::{BeasError, QuotaTracker, Result, Row, Schema};
 use beas_engine::{
-    Engine, ExecProfile, ExecutionMetrics, OptimizerProfile, ParallelConfig, PlanCacheStats,
+    analyze_tree, Engine, ExecOptions, ExecProfile, ExecutionMetrics, OptimizerProfile,
+    ParallelConfig, PlanCacheStats,
 };
 use beas_sql::{parse_select, Binder, BoundQuery};
 use beas_storage::Database;
@@ -382,17 +383,6 @@ impl BeasSystem {
         self.fallback.exec_profile()
     }
 
-    /// Tune the bounded fetch stage's parallelism threshold: the minimum
-    /// number of distinct fetch keys before a fetch partitions its key set
-    /// across worker threads (default
-    /// [`crate::executor::PARALLEL_FETCH_MIN_KEYS`]).  Like the morsel
-    /// knobs, this is a physical execution property — answers and cached
-    /// plans are unaffected.
-    pub fn with_parallel_fetch_min_keys(mut self, min_keys: usize) -> Self {
-        self.fetch_config.parallel_min_keys = min_keys;
-        self
-    }
-
     /// The bounded fetch stage's tuning.
     pub fn fetch_config(&self) -> FetchConfig {
         self.fetch_config
@@ -708,13 +698,6 @@ impl BeasSystem {
         self.execute_prepared(&prepared, quota)
     }
 
-    /// Execute an already-bound query (bypasses the plan cache — the query
-    /// was bound outside the system, so there is no SQL text to key on).
-    pub fn execute_bound_query(&self, query: &BoundQuery) -> Result<ExecutionOutcome> {
-        let prepared = self.prepare_bound(query.clone())?;
-        self.execute_prepared(&prepared, None)
-    }
-
     /// Execute a prepared (possibly cached) query under an optional quota.
     /// With [`BeasSystem::prepare`] this is the two-call form of
     /// [`BeasSystem::execute_sql_with_quota`]: a service that already
@@ -725,12 +708,29 @@ impl BeasSystem {
         prepared: &PreparedQuery,
         quota: Option<&QuotaTracker>,
     ) -> Result<ExecutionOutcome> {
+        let opts = ExecOptions {
+            quota,
+            ..ExecOptions::default()
+        };
+        self.execute_prepared_with(prepared, &opts)
+    }
+
+    /// [`BeasSystem::execute_prepared`] under explicit engine options: a
+    /// bounded plan's finalization runs with them (`quota` also charges its
+    /// fetch steps); everything else runs on the fallback engine as that is
+    /// configured, under `opts.quota`.
+    fn execute_prepared_with(
+        &self,
+        prepared: &PreparedQuery,
+        opts: &ExecOptions<'_>,
+    ) -> Result<ExecutionOutcome> {
         let query = &prepared.query;
         let graph = &prepared.graph;
         let coverage = &prepared.coverage;
+        let quota = opts.quota;
         if let Some(plan) = &prepared.plan {
             let result =
-                execute_bounded_with(plan, query, graph, &self.indexes, self.fetch_config, quota)?;
+                execute_bounded_with(plan, query, graph, &self.indexes, self.fetch_config, opts)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
                 schema: query.output_schema.clone(),
@@ -966,18 +966,36 @@ impl BeasSystem {
 
     /// EXPLAIN ANALYZE through the whole system: execute `sql` through
     /// BEAS (bounded when covered, partially bounded / conventional
-    /// otherwise) and once more on the fallback engine with per-operator
-    /// timing forced on, returning the two breakdowns side by side — the
-    /// BEAS fetch pipeline flat, the baseline as the Fig. 3-style operator
-    /// tree (including `Exchange(..)` / `Vectorized(..)` annotations when
-    /// those physical paths ran).
+    /// otherwise) and once more on the fallback engine, returning the two
+    /// breakdowns side by side.  A bounded run renders as its `Fetch(..)`
+    /// lines followed by the per-operator tree of its finalization
+    /// ([`beas_engine::analyze_tree`] over the plan's `Context` leaf); the
+    /// baseline as the Fig. 3-style operator tree (including `Exchange(..)`
+    /// / `Vectorized(..)` annotations when those physical paths ran).
     ///
-    /// Timing on the baseline is forced per-pipeline, not by flipping the
-    /// global [`beas_obs::TraceLevel`], so concurrent sessions keep their
-    /// configured level; the BEAS executor's fetch/finalize stages time
-    /// their blocking phases unconditionally.
+    /// Per-operator timing is forced on for the bounded finalization and
+    /// the baseline per pipeline, not by flipping the global
+    /// [`beas_obs::TraceLevel`], so concurrent sessions keep their
+    /// configured level; fetch steps time themselves unconditionally.
     pub fn explain_analyze(&self, sql: &str) -> Result<QueryAnalysis> {
-        let outcome = self.execute_sql(sql)?;
+        let prepared = self.prepare(sql)?;
+        let timed = ExecOptions {
+            timing: true,
+            ..ExecOptions::default()
+        };
+        let outcome = self.execute_prepared_with(&prepared, &timed)?;
+        let beas_finalization = match &prepared.plan {
+            Some(BoundedPlan {
+                fetches,
+                finalization: Ok(finalization),
+                ..
+            }) => {
+                let mut tail = outcome.metrics.clone();
+                tail.operators.drain(..fetches.len());
+                Some(analyze_tree(finalization, &tail)?)
+            }
+            _ => None,
+        };
         let baseline = self.fallback.explain_analyze(&self.db, sql)?;
         Ok(QueryAnalysis {
             sql: sql.to_string(),
@@ -989,6 +1007,7 @@ impl BeasSystem {
                 outcome.metrics.clone(),
                 outcome.rows.len() as u64,
             ),
+            beas_finalization,
             baseline: SystemMeasurement::new(
                 SystemMeasurement::baseline_label(self.fallback.profile()),
                 baseline.result.metrics.clone(),
@@ -1341,17 +1360,6 @@ mod tests {
             .expect_err("5 tuples cannot cover the 60-row scans");
         assert_eq!(err.kind(), "quota_exceeded");
         assert!(tight.is_tripped());
-    }
-
-    #[test]
-    fn parallel_fetch_min_keys_knob_keeps_answers() {
-        let default_sys = system();
-        let tuned = system().with_parallel_fetch_min_keys(1);
-        assert_eq!(tuned.fetch_config().parallel_min_keys, 1);
-        let a = default_sys.execute_sql(COVERED).unwrap();
-        let b = tuned.execute_sql(COVERED).unwrap();
-        assert_eq!(a.rows, b.rows);
-        assert_eq!(a.tuples_accessed, b.tuples_accessed);
     }
 
     #[test]

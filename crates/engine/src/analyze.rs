@@ -47,6 +47,13 @@ impl AnalyzeNode {
         self.metric.elapsed
     }
 
+    /// Metrics lines this subtree accounts for: one per node plus its
+    /// annotations.
+    pub fn lines(&self) -> usize {
+        let below: usize = self.children.iter().map(AnalyzeNode::lines).sum();
+        1 + self.annotations.len() + below
+    }
+
     /// Render the analyzed tree as an aligned table: indented operator
     /// labels with `rows out` / `tuples accessed` / `time` columns, the
     /// same vocabulary as [`ExecutionMetrics::render`].
@@ -62,22 +69,10 @@ impl AnalyzeNode {
 
     fn render_into(&self, out: &mut String, indent: usize) {
         let label = format!("{}{}", "  ".repeat(indent), self.label);
-        out.push_str(&format!(
-            "{:<46} {:>10} {:>16} {:>12}\n",
-            label,
-            self.metric.rows_out,
-            self.metric.tuples_accessed,
-            format_duration(self.metric.elapsed),
-        ));
+        out.push_str(&render_line(&label, &self.metric));
         for a in &self.annotations {
             let label = format!("{}+ {}", "  ".repeat(indent + 1), a.operator);
-            out.push_str(&format!(
-                "{:<46} {:>10} {:>16} {:>12}\n",
-                label,
-                a.rows_out,
-                a.tuples_accessed,
-                format_duration(a.elapsed),
-            ));
+            out.push_str(&render_line(&label, a));
         }
         for child in &self.children {
             child.render_into(out, indent + 1);
@@ -85,11 +80,24 @@ impl AnalyzeNode {
     }
 }
 
+/// One row of [`AnalyzeNode::render`]'s table: `label` in the operator
+/// column, then `metric`'s counters and time.
+pub fn render_line(label: &str, metric: &OperatorMetrics) -> String {
+    format!(
+        "{:<46} {:>10} {:>16} {:>12}\n",
+        label,
+        metric.rows_out,
+        metric.tuples_accessed,
+        format_duration(metric.elapsed),
+    )
+}
+
 /// The operator-kind token the executor uses for a plan node's metrics
 /// line: the label up to the first `(`.
 fn plan_kind(plan: &LogicalPlan) -> &'static str {
     match plan {
         LogicalPlan::Scan { .. } => "SeqScan",
+        LogicalPlan::Context { .. } => "Context",
         LogicalPlan::Filter { .. } => "Filter",
         LogicalPlan::Join { algorithm, .. } => algorithm.name(),
         LogicalPlan::Aggregate { .. } => "HashAggregate",
@@ -151,7 +159,7 @@ fn analyze_node(
     // Children record before parents (post-order teardown), in plan order.
     let mut children = Vec::new();
     match plan {
-        LogicalPlan::Scan { .. } => {}
+        LogicalPlan::Scan { .. } | LogicalPlan::Context { .. } => {}
         LogicalPlan::Filter { input, .. }
         | LogicalPlan::Aggregate { input, .. }
         | LogicalPlan::Project { input, .. }

@@ -1,7 +1,7 @@
 //! The baseline engine facade: parse → bind → plan → execute.
 
 use crate::analyze::{analyze_tree, AnalyzeNode};
-use crate::executor::{execute_timed, execute_with_profile, ParallelConfig};
+use crate::executor::{execute, ExecOptions, Input, ParallelConfig};
 use crate::metrics::ExecutionMetrics;
 use crate::plan::LogicalPlan;
 use crate::planner::Planner;
@@ -148,7 +148,13 @@ impl Engine {
     ) -> Result<QueryResult> {
         let plan = self.plan(db, query)?;
         let mut metrics = ExecutionMetrics::new();
-        let rows = execute_with_profile(&plan, db, &mut metrics, self.parallel, self.exec, quota)?;
+        let opts = ExecOptions {
+            parallel: self.parallel,
+            exec: self.exec,
+            quota,
+            ..ExecOptions::default()
+        };
+        let rows = execute(&plan, Input::Tables(db), &mut metrics, &opts)?;
         Ok(QueryResult {
             rows,
             schema: query.output_schema.clone(),
@@ -169,29 +175,16 @@ impl Engine {
     /// Timing is forced per-pipeline rather than by flipping the global
     /// knob, so concurrent sessions keep their configured level.
     pub fn explain_analyze(&self, db: &Database, sql: &str) -> Result<EngineAnalysis> {
-        self.explain_analyze_with_quota(db, sql, None)
-    }
-
-    /// [`Engine::explain_analyze`] under an optional session quota: the
-    /// analyzed run charges and trips exactly like [`Engine::run_with_quota`].
-    pub fn explain_analyze_with_quota(
-        &self,
-        db: &Database,
-        sql: &str,
-        quota: Option<&QuotaTracker>,
-    ) -> Result<EngineAnalysis> {
         let bound = self.bind(db, sql)?;
         let plan = self.plan(db, &bound)?;
         let mut metrics = ExecutionMetrics::new();
-        let rows = execute_timed(
-            &plan,
-            db,
-            &mut metrics,
-            self.parallel,
-            self.exec,
-            quota,
-            true,
-        )?;
+        let opts = ExecOptions {
+            parallel: self.parallel,
+            exec: self.exec,
+            quota: None,
+            timing: true,
+        };
+        let rows = execute(&plan, Input::Tables(db), &mut metrics, &opts)?;
         let tree = analyze_tree(&plan, &metrics)?;
         Ok(EngineAnalysis {
             plan_text: plan.explain(),

@@ -92,7 +92,7 @@ use beas_common::{
 };
 use beas_obs::{clock, OpTimer};
 use beas_sql::{evaluate, evaluate_predicate, Accumulator, BoundAggregate, BoundExpr};
-use beas_storage::Database;
+use beas_storage::{Database, Table};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -123,28 +123,24 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig {
-            workers: beas_common::default_workers(PARALLEL_SCAN_MAX_WORKERS),
-            min_rows: PARALLEL_SCAN_MIN_ROWS,
-            morsel_rows: MORSEL_ROWS,
-        }
+        ParallelConfig::with_workers(beas_common::default_workers(PARALLEL_SCAN_MAX_WORKERS))
     }
 }
 
 impl ParallelConfig {
-    /// The serial configuration: no exchange is ever built.
+    /// The serial configuration: no exchange is ever built.  It asks the
+    /// host nothing — `available_parallelism` costs microseconds, and every
+    /// bounded query builds this configuration for its finalization.
     pub fn serial() -> Self {
-        ParallelConfig {
-            workers: 1,
-            ..ParallelConfig::default()
-        }
+        ParallelConfig::with_workers(1)
     }
 
     /// The default configuration with a fixed worker count.
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
             workers,
-            ..ParallelConfig::default()
+            min_rows: PARALLEL_SCAN_MIN_ROWS,
+            morsel_rows: MORSEL_ROWS,
         }
     }
 
@@ -154,94 +150,82 @@ impl ParallelConfig {
     }
 }
 
-/// Execute a logical plan against a database on the serial reference
-/// pipeline, recording metrics.
-pub fn execute(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-) -> Result<Vec<Row>> {
-    execute_with(plan, db, metrics, ParallelConfig::serial())
+/// How [`execute`] runs a plan.  Every field is a physical property: rows,
+/// order, error kind and position, `tuples_accessed` and quota charging are
+/// identical under every combination (`tests/parallel_semantics.rs`,
+/// `tests/vectorized_semantics.rs`, `tests/trace_semantics.rs`).
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions<'a> {
+    /// Which scan fragments run morsel-parallel.
+    pub parallel: ParallelConfig,
+    /// Columnar kernels over per-morsel [`beas_common::ColumnBatch`]es, with
+    /// per-morsel fallback to the row path for uncovered shapes or kernel
+    /// errors, versus the row-at-a-time reference pipeline.
+    pub exec: ExecProfile,
+    /// Session quota: base-table access is charged as it happens — per row
+    /// on the serial scan, per morsel on the parallel exchange — and
+    /// blocking operators re-check the deadline, so a query that exceeds
+    /// its budget ends early with [`BeasError::QuotaExceeded`].  Trips are
+    /// *cooperative*: the parallel path may observe one at a different
+    /// morsel than the serial path, but the error kind, and that the budget
+    /// is never overrun by more than one scheduling quantum, are the same.
+    pub quota: Option<&'a QuotaTracker>,
+    /// Per-operator timing: when on, every streaming operator accumulates
+    /// its *inclusive* elapsed time (time spent pulling from inputs
+    /// included, PostgreSQL `EXPLAIN ANALYZE` convention) into its
+    /// [`ExecutionMetrics`] line; when off, streaming operators report
+    /// `Duration::ZERO` and only blocking phases (join build, sort,
+    /// aggregate fold, exchange run) carry elapsed times.
+    pub timing: bool,
 }
 
-/// Execute a logical plan, parallelizing eligible scan fragments according
-/// to `parallel`.  Answers — rows, order, error propagation — are identical
-/// to [`execute`] for every plan and configuration.
-pub fn execute_with(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-) -> Result<Vec<Row>> {
-    execute_with_quota(plan, db, metrics, parallel, None)
+impl Default for ExecOptions<'_> {
+    /// The serial reference pipeline under the default execution profile,
+    /// no quota, and per-operator timing as the global
+    /// [`beas_obs::TraceLevel`] says — read here, once per query, never per
+    /// row.
+    fn default() -> Self {
+        ExecOptions {
+            parallel: ParallelConfig::serial(),
+            exec: ExecProfile::default(),
+            quota: None,
+            timing: beas_obs::trace_level().timing(),
+        }
+    }
 }
 
-/// Execute a logical plan under an optional session [`QuotaTracker`]:
-/// base-table access is charged against the quota as it happens — per row on
-/// the serial scan, per morsel on the parallel exchange — so an in-flight
-/// query that exceeds its tuple budget (or deadline) terminates early with
-/// [`BeasError::QuotaExceeded`] instead of running to completion.
-///
-/// Quota trips are *cooperative* cancellation, not a deterministic error
-/// position: the parallel path may observe the trip at a different morsel
-/// than the serial path, but the error kind — and the fact that the budget
-/// is never exceeded by more than one scheduling quantum — are identical.
-pub fn execute_with_quota(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-    quota: Option<&QuotaTracker>,
-) -> Result<Vec<Row>> {
-    execute_with_profile(plan, db, metrics, parallel, ExecProfile::default(), quota)
+/// What the leaves of a plan read.
+#[derive(Debug)]
+pub enum Input<'a> {
+    /// `Scan` leaves read the tables of this database.
+    Tables(&'a Database),
+    /// The plan's `Context` leaf replays these rows: the context relation a
+    /// bounded plan's fetch steps produced.
+    Context(Vec<RowRef<'a>>),
 }
 
-/// Execute a logical plan under an explicit [`ExecProfile`]: the vectorized
-/// profiles evaluate covered leaf fragments with columnar kernels over
-/// per-morsel [`beas_common::ColumnBatch`]es, falling back to the row path
-/// per morsel for uncovered shapes or kernel errors.  Rows, order, error
-/// kind and position, `tuples_accessed` and quota charging are identical
-/// across profiles by construction (`tests/vectorized_semantics.rs`).
-pub fn execute_with_profile(
-    plan: &LogicalPlan,
-    db: &Database,
+/// Execute a logical plan over `input`, appending one line per operator to
+/// `metrics`.
+pub fn execute<'a>(
+    plan: &'a LogicalPlan,
+    input: Input<'a>,
     metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-    exec: ExecProfile,
-    quota: Option<&QuotaTracker>,
-) -> Result<Vec<Row>> {
-    // The global trace level is read once per query, never per row.
-    let timing = beas_obs::trace_level().timing();
-    execute_timed(plan, db, metrics, parallel, exec, quota, timing)
-}
-
-/// [`execute_with_profile`] with per-operator timing forced on or off
-/// instead of read from the global [`beas_obs::TraceLevel`].  With `timing`
-/// on, every streaming operator accumulates its *inclusive* elapsed time
-/// (time spent pulling from inputs included, PostgreSQL `EXPLAIN ANALYZE`
-/// convention) into its [`ExecutionMetrics`] line; with it off, streaming
-/// operators report `Duration::ZERO` and only blocking phases (join build,
-/// sort, aggregate fold, exchange run) carry elapsed times.  Answers are
-/// identical either way — timing adds clock reads, never work.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_timed(
-    plan: &LogicalPlan,
-    db: &Database,
-    metrics: &mut ExecutionMetrics,
-    parallel: ParallelConfig,
-    exec: ExecProfile,
-    quota: Option<&QuotaTracker>,
-    timing: bool,
+    opts: &ExecOptions<'a>,
 ) -> Result<Vec<Row>> {
     let start = clock::now();
-    let ctx = BuildCtx {
-        parallel,
-        lazy: false,
-        quota,
-        exec,
-        timing,
+    let (db, mut context) = match input {
+        Input::Tables(db) => (Some(db), Vec::new()),
+        Input::Context(rows) => (None, rows),
     };
-    let mut root = build_operator(plan, db, None, ctx)?;
+    let ctx = BuildCtx {
+        db,
+        parallel: opts.parallel,
+        lazy: false,
+        quota: opts.quota,
+        exec: opts.exec,
+        timing: opts.timing,
+    };
+    let mut root = build_operator(plan, None, ctx, &mut context)?;
     // Single materialization point: pipelined rows become owned rows only
     // when they leave the executor (`into_row` moves sole-owner projected
     // rows instead of cloning their values).
@@ -284,6 +268,9 @@ macro_rules! timed_next {
 /// Context threaded through operator construction.
 #[derive(Debug, Clone, Copy)]
 struct BuildCtx<'a> {
+    /// The database `Scan` leaves read; `None` when the plan runs over a
+    /// fetched context ([`Input::Context`]).
+    db: Option<&'a Database>,
     /// Morsel-parallelism configuration for this execution.
     parallel: ParallelConfig,
     /// Whether the consumer may stop pulling early (a `LIMIT` upstream with
@@ -302,12 +289,22 @@ struct BuildCtx<'a> {
     timing: bool,
 }
 
-impl BuildCtx<'_> {
+impl<'a> BuildCtx<'a> {
     /// The context for an input that is always drained to exhaustion.
     fn drained(self) -> Self {
         BuildCtx {
             lazy: false,
             ..self
+        }
+    }
+
+    /// The base table a `Scan` leaf names.
+    fn table(&self, name: &str) -> Result<&'a Table> {
+        match self.db {
+            Some(db) => db.table(name),
+            None => Err(BeasError::execution(format!(
+                "plan scans table {name:?} but was given a fetched context, not a database"
+            ))),
         }
     }
 }
@@ -321,32 +318,34 @@ impl BuildCtx<'_> {
 /// Stopping early gives LIMIT the *lazy prefix* semantics of production
 /// engines: rows that can never appear in the answer are not processed, so a
 /// runtime error (e.g. a type error) lurking in such a row is not raised.
-/// The bounded executor evaluates its whole (already bounded) context, so
-/// under a LIMIT the two engines agree on answers but may differ on whether
-/// a doomed row's error surfaces — the error-parity guarantee is pinned for
-/// the un-limited case (`type_error_predicates_propagate_like_the_baseline`).
+/// A bounded plan's fetch steps filter their whole (already bounded) context
+/// before its finalization — these same operators over a `Context` leaf —
+/// runs, so under a LIMIT the two engines agree on answers but may differ
+/// on whether a doomed row's error surfaces — the error-parity guarantee is
+/// pinned for the un-limited case
+/// (`type_error_predicates_propagate_like_the_baseline`).
 /// The morsel-parallel path preserves the same contract: an exchange under a
 /// limit reads whole morsels but replays them in row order, so exactly the
 /// rows (and the first error, if pulled) of the serial prefix surface.
 fn build_operator<'a>(
     plan: &'a LogicalPlan,
-    db: &'a Database,
     limit: Option<usize>,
     ctx: BuildCtx<'a>,
+    context: &mut Vec<RowRef<'a>>,
 ) -> Result<BoxedOperator<'a>> {
     // A maximal Scan → Filter*/Project* chain may run morsel-parallel as a
     // whole; the exchange replaces the entire fragment.
-    if let Some(op) = try_exchange(plan, db, limit, ctx, ExchangePartial::Append)? {
+    if let Some(op) = try_exchange(plan, limit, ctx, ExchangePartial::Append)? {
         return Ok(op);
     }
     // A fragment too small (or too serial) for the exchange may still run
     // its morsels through the columnar kernels.
-    if let Some(op) = try_vectorized(plan, db, ctx, false)? {
+    if let Some(op) = try_vectorized(plan, ctx, false)? {
         return Ok(op);
     }
     Ok(match plan {
         LogicalPlan::Scan { table, alias, .. } => {
-            let t = db.table(table)?;
+            let t = ctx.table(table)?;
             let label = if table == alias {
                 format!("SeqScan({table})")
             } else {
@@ -360,11 +359,16 @@ fn build_operator<'a>(
                 timer: OpTimer::new(ctx.timing),
             })
         }
+        LogicalPlan::Context { .. } => Box::new(ContextOp {
+            rows: std::mem::take(context).into_iter(),
+            rows_out: 0,
+            timer: OpTimer::new(ctx.timing),
+        }),
         LogicalPlan::Filter { input, predicate } => {
             // The hint cannot pass through (the filter drops rows), but
             // demand still does: the filter pulls from its input only while
             // the consumer keeps pulling from it.
-            let input = build_operator(input, db, None, ctx)?;
+            let input = build_operator(input, None, ctx, context)?;
             Box::new(FilterOp {
                 input,
                 predicate,
@@ -383,8 +387,8 @@ fn build_operator<'a>(
             // consumer's laziness; the build (right) side is always drained
             // in full, which makes it a safe parallel fragment even under a
             // downstream LIMIT.
-            let left = build_operator(left, db, None, ctx)?;
-            let right = build_operator(right, db, None, ctx.drained())?;
+            let left = build_operator(left, None, ctx, context)?;
+            let right = build_operator(right, None, ctx.drained(), context)?;
             let label = format!("{}(keys={})", algorithm.name(), keys.len());
             match algorithm {
                 JoinAlgorithm::Hash if !keys.is_empty() => Box::new(
@@ -424,12 +428,12 @@ fn build_operator<'a>(
             // plain exchange and the aggregation itself stays serial.
             if merge_exact(aggregates) {
                 if let Some(op) =
-                    try_parallel_aggregate(input, db, ctx.drained(), group_by, aggregates)?
+                    try_parallel_aggregate(input, ctx.drained(), group_by, aggregates)?
                 {
                     return Ok(op);
                 }
             }
-            let input = build_operator(input, db, None, ctx.drained())?;
+            let input = build_operator(input, None, ctx.drained(), context)?;
             Box::new(AggregateOp {
                 input,
                 started: false,
@@ -444,7 +448,7 @@ fn build_operator<'a>(
         }
         LogicalPlan::Project { input, exprs, .. } => {
             // Projection is 1:1, so the limit hint passes straight through.
-            let input = build_operator(input, db, limit, ctx)?;
+            let input = build_operator(input, limit, ctx, context)?;
             Box::new(ProjectOp {
                 input,
                 exprs,
@@ -456,13 +460,13 @@ fn build_operator<'a>(
             // Workers pre-deduplicate their morsels; this operator removes
             // the remaining cross-morsel duplicates in merged row order, so
             // the surviving set and order equal the serial run's.
-            let input = match try_exchange(input, db, None, ctx, ExchangePartial::Dedupe)? {
+            let input = match try_exchange(input, None, ctx, ExchangePartial::Dedupe)? {
                 Some(op) => op,
                 // The serial vectorized path pre-deduplicates per morsel
                 // with batched hashes, mirroring the exchange's partial.
-                None => match try_vectorized(input, db, ctx, true)? {
+                None => match try_vectorized(input, ctx, true)? {
                     Some(op) => op,
-                    None => build_operator(input, db, None, ctx)?,
+                    None => build_operator(input, None, ctx, context)?,
                 },
             };
             Box::new(DistinctOp {
@@ -481,9 +485,9 @@ fn build_operator<'a>(
                 Some(k) => ExchangePartial::TopK { keys, k },
                 None => ExchangePartial::Append,
             };
-            let input = match try_exchange(input, db, None, inner, partial)? {
+            let input = match try_exchange(input, None, inner, partial)? {
                 Some(op) => op,
-                None => build_operator(input, db, None, inner)?,
+                None => build_operator(input, None, inner, context)?,
             };
             Box::new(SortOp {
                 input,
@@ -499,7 +503,7 @@ fn build_operator<'a>(
         }
         LogicalPlan::Limit { input, limit: k } => {
             let k = *k as usize;
-            let input = build_operator(input, db, Some(k), BuildCtx { lazy: true, ..ctx })?;
+            let input = build_operator(input, Some(k), BuildCtx { lazy: true, ..ctx }, context)?;
             Box::new(LimitOp {
                 input,
                 remaining: k,
@@ -665,12 +669,12 @@ type EligibleFragment<'a> = (Fragment<'a>, Vec<&'a [Row]>);
 /// morsel slices when all gates pass.
 fn eligible_fragment<'a>(
     plan: &'a LogicalPlan,
-    db: &'a Database,
-    cfg: ParallelConfig,
+    ctx: BuildCtx<'a>,
 ) -> Result<Option<EligibleFragment<'a>>> {
-    if !cfg.enabled() {
+    let cfg = ctx.parallel;
+    let (true, Some(db)) = (cfg.enabled(), ctx.db) else {
         return Ok(None);
-    }
+    };
     let Some(frag) = leaf_fragment(plan) else {
         return Ok(None);
     };
@@ -719,13 +723,12 @@ fn record_fragment_metrics(
 /// prefix).
 fn try_exchange<'a>(
     plan: &'a LogicalPlan,
-    db: &'a Database,
     limit: Option<usize>,
     ctx: BuildCtx<'a>,
     partial: ExchangePartial<'a>,
 ) -> Result<Option<BoxedOperator<'a>>> {
     let cfg = ctx.parallel;
-    let Some((frag, morsels)) = eligible_fragment(plan, db, cfg)? else {
+    let Some((frag, morsels)) = eligible_fragment(plan, ctx)? else {
         return Ok(None);
     };
     let quota = if ctx.lazy {
@@ -739,7 +742,7 @@ fn try_exchange<'a>(
     // Whether the kernels cover the fragment; worker morsels then take the
     // vectorized path (subject to the profile's per-morsel forcing).
     let covered =
-        ctx.exec.vectorized() && kernels_cover(&frag, db.table(frag.table)?.schema().arity());
+        ctx.exec.vectorized() && kernels_cover(&frag, ctx.table(frag.table)?.schema().arity());
     Ok(Some(Box::new(ExchangeOp {
         frag,
         morsels,
@@ -950,17 +953,16 @@ struct MorselAggRun {
 /// applies).
 fn try_parallel_aggregate<'a>(
     input: &'a LogicalPlan,
-    db: &'a Database,
     ctx: BuildCtx<'a>,
     group_by: &'a [BoundExpr],
     aggregates: &'a [BoundAggregate],
 ) -> Result<Option<BoxedOperator<'a>>> {
     let cfg = ctx.parallel;
-    let Some((frag, morsels)) = eligible_fragment(input, db, cfg)? else {
+    let Some((frag, morsels)) = eligible_fragment(input, ctx)? else {
         return Ok(None);
     };
     let covered =
-        ctx.exec.vectorized() && kernels_cover(&frag, db.table(frag.table)?.schema().arity());
+        ctx.exec.vectorized() && kernels_cover(&frag, ctx.table(frag.table)?.schema().arity());
     Ok(Some(Box::new(ParallelAggregateOp {
         frag,
         morsels,
@@ -1172,7 +1174,6 @@ impl<'a> Operator<'a> for ParallelAggregateOp<'a> {
 /// is no minimum-size gate: batching pays for itself from the first morsel.
 fn try_vectorized<'a>(
     plan: &'a LogicalPlan,
-    db: &'a Database,
     ctx: BuildCtx<'a>,
     dedupe: bool,
 ) -> Result<Option<BoxedOperator<'a>>> {
@@ -1187,7 +1188,7 @@ fn try_vectorized<'a>(
         // batches for nothing.
         return Ok(None);
     }
-    let table = db.table(frag.table)?;
+    let table = ctx.table(frag.table)?;
     if !kernels_cover(&frag, table.schema().arity()) {
         return Ok(None);
     }
@@ -1221,7 +1222,7 @@ fn try_vectorized<'a>(
 /// — the same cumulative counts and the same trip point as the serial
 /// per-pull charge — and a trip discards the morsel's output before
 /// anything is emitted (partial output never escapes
-/// [`execute_with_profile`] on error, so the discard is unobservable).  A
+/// [`execute`] on error, so the discard is unobservable).  A
 /// fallback morsel interleaves charge-then-evaluate per row like the serial
 /// pipeline, so the ordering of quota trips versus evaluation errors is
 /// preserved even mid-morsel.
@@ -1379,6 +1380,30 @@ impl<'a> Operator<'a> for ScanOp<'a> {
             self.produced,
             self.timer.elapsed(),
         );
+    }
+}
+
+/// The fetched context of a bounded plan, replayed in order.  It charges no
+/// tuple: the fetch steps that produced the rows already did.
+struct ContextOp<'a> {
+    rows: std::vec::IntoIter<RowRef<'a>>,
+    rows_out: u64,
+    timer: OpTimer,
+}
+
+impl<'a> ContextOp<'a> {
+    fn advance(&mut self) -> Result<Option<RowRef<'a>>> {
+        let row = self.rows.next();
+        self.rows_out += u64::from(row.is_some());
+        Ok(row)
+    }
+}
+
+timed_next!(ContextOp);
+
+impl<'a> Operator<'a> for ContextOp<'a> {
+    fn record(&mut self, metrics: &mut ExecutionMetrics) {
+        metrics.record("Context", self.rows_out, 0, self.timer.elapsed());
     }
 }
 

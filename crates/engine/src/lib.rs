@@ -25,14 +25,14 @@ pub(crate) mod vectorized;
 pub use analyze::{analyze_tree, AnalyzeNode};
 pub use engine::{Engine, EngineAnalysis, QueryResult};
 pub use executor::{
-    aggregate, execute, execute_timed, execute_with, execute_with_profile, execute_with_quota,
-    ParallelConfig, PARALLEL_SCAN_MAX_WORKERS, PARALLEL_SCAN_MIN_ROWS,
+    aggregate, execute, ExecOptions, Input, ParallelConfig, PARALLEL_SCAN_MAX_WORKERS,
+    PARALLEL_SCAN_MIN_ROWS,
 };
 pub use metrics::{
     format_duration, ExecutionMetrics, MorselStats, OperatorMetrics, PlanCacheStats,
 };
 pub use plan::{JoinAlgorithm, LogicalPlan};
 pub use planner::{
-    conjoin_bound, estimated_scan_rows, remap_expr, remap_exprs, split_bound_conjuncts, Planner,
+    conjoin_bound, estimated_scan_rows, finalize_plan, remap_expr, split_bound_conjuncts, Planner,
 };
 pub use profile::{ExecProfile, OptimizerProfile};

@@ -36,6 +36,14 @@ pub enum LogicalPlan {
         /// Output schema (all columns of the table, qualified by alias).
         schema: Schema,
     },
+    /// The fetched context of a bounded plan — the leaf its finalization
+    /// runs over.  The executor replays the rows it is handed
+    /// ([`crate::executor::Input::Context`]) and charges no tuple for them:
+    /// the fetch steps that produced them already did.
+    Context {
+        /// Schema of the context relation.
+        schema: Schema,
+    },
     /// Filter rows by a predicate over the input schema.
     Filter {
         /// Input plan.
@@ -103,6 +111,7 @@ impl LogicalPlan {
     pub fn schema(&self) -> Schema {
         match self {
             LogicalPlan::Scan { schema, .. }
+            | LogicalPlan::Context { schema }
             | LogicalPlan::Join { schema, .. }
             | LogicalPlan::Aggregate { schema, .. }
             | LogicalPlan::Project { schema, .. } => schema.clone(),
@@ -117,6 +126,7 @@ impl LogicalPlan {
     pub fn scan_count(&self) -> usize {
         match self {
             LogicalPlan::Scan { .. } => 1,
+            LogicalPlan::Context { .. } => 0,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
@@ -145,6 +155,7 @@ impl LogicalPlan {
                     out.push_str(&format!("{pad}SeqScan({table} AS {alias})\n"));
                 }
             }
+            LogicalPlan::Context { .. } => out.push_str(&format!("{pad}Context\n")),
             LogicalPlan::Filter { input, predicate } => {
                 out.push_str(&format!("{pad}Filter({predicate})\n"));
                 input.explain_into(out, indent + 1);

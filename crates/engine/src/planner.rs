@@ -52,67 +52,11 @@ impl<'a> Planner<'a> {
         // 4. Apply residual predicates (those not pushed down or used as keys).
         plan = self.apply_residual_filters(query, &conjuncts, plan)?;
 
-        // 5. Aggregation.
-        if query.is_aggregate {
-            let input_schema = plan.schema();
-            let group_by = remap_exprs(&query.group_by, &query.input_schema, &input_schema)?;
-            let mut aggregates = query.aggregates.clone();
-            for agg in &mut aggregates {
-                if let Some(arg) = &agg.arg {
-                    agg.arg = Some(remap_expr(arg, &query.input_schema, &input_schema)?);
-                }
-            }
-            plan = LogicalPlan::Aggregate {
-                input: Box::new(plan),
-                group_by,
-                aggregates,
-                schema: query.agg_schema.clone(),
-            };
-            if let Some(h) = &query.having {
-                plan = LogicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: h.clone(),
-                };
-            }
-        }
-
-        // 6. Projection.
-        let exprs = if query.is_aggregate {
-            // Output expressions are already bound over the aggregate schema.
-            query.output.clone()
-        } else {
-            let plan_schema = plan.schema();
-            query
-                .output
-                .iter()
-                .map(|(e, n)| Ok((remap_expr(e, &query.input_schema, &plan_schema)?, n.clone())))
-                .collect::<Result<Vec<_>>>()?
-        };
-        plan = LogicalPlan::Project {
-            input: Box::new(plan),
-            exprs,
-            schema: query.output_schema.clone(),
-        };
-
-        // 7. Distinct, sort, limit.
-        if query.distinct {
-            plan = LogicalPlan::Distinct {
-                input: Box::new(plan),
-            };
-        }
-        if !query.order_by.is_empty() {
-            plan = LogicalPlan::Sort {
-                input: Box::new(plan),
-                keys: query.order_by.clone(),
-            };
-        }
-        if let Some(limit) = query.limit {
-            plan = LogicalPlan::Limit {
-                input: Box::new(plan),
-                limit,
-            };
-        }
-        Ok(plan)
+        // 5–7. Aggregation, projection, distinct, sort, limit.
+        let schema = plan.schema();
+        finalize_plan(query, plan, query.distinct, |e| {
+            remap_expr(e, &query.input_schema, &schema)
+        })
     }
 
     fn analyze_conjuncts(&self, query: &BoundQuery) -> Vec<Conjunct> {
@@ -365,6 +309,74 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// Stack the nodes that finalize `query`'s answer on `plan`: aggregation
+/// with its HAVING filter, projection, duplicate elimination (when
+/// `distinct`), sort and limit.  `rebind` turns an expression bound over the
+/// query's flat input schema into one over `plan`'s output.
+///
+/// Shared by the baseline planner (over its join tree) and the bounded
+/// planner (over the fetched context), so both engines finalize answers
+/// with the same operators.
+pub fn finalize_plan(
+    query: &BoundQuery,
+    mut plan: LogicalPlan,
+    distinct: bool,
+    rebind: impl Fn(&BoundExpr) -> Result<BoundExpr>,
+) -> Result<LogicalPlan> {
+    let exprs = if query.is_aggregate {
+        let group_by = query.group_by.iter().map(&rebind).collect::<Result<_>>()?;
+        let mut aggregates = query.aggregates.clone();
+        for agg in &mut aggregates {
+            if let Some(arg) = &agg.arg {
+                agg.arg = Some(rebind(arg)?);
+            }
+        }
+        plan = LogicalPlan::Aggregate {
+            input: Box::new(plan),
+            group_by,
+            aggregates,
+            schema: query.agg_schema.clone(),
+        };
+        if let Some(h) = &query.having {
+            plan = LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate: h.clone(),
+            };
+        }
+        // Output expressions are already bound over the aggregate schema.
+        query.output.clone()
+    } else {
+        query
+            .output
+            .iter()
+            .map(|(e, n)| Ok((rebind(e)?, n.clone())))
+            .collect::<Result<Vec<_>>>()?
+    };
+    plan = LogicalPlan::Project {
+        input: Box::new(plan),
+        exprs,
+        schema: query.output_schema.clone(),
+    };
+    if distinct {
+        plan = LogicalPlan::Distinct {
+            input: Box::new(plan),
+        };
+    }
+    if !query.order_by.is_empty() {
+        plan = LogicalPlan::Sort {
+            input: Box::new(plan),
+            keys: query.order_by.clone(),
+        };
+    }
+    if let Some(limit) = query.limit {
+        plan = LogicalPlan::Limit {
+            input: Box::new(plan),
+            limit,
+        };
+    }
+    Ok(plan)
+}
+
 /// Estimated input rows of a base-table scan, read from the database's
 /// memoized per-generation statistics — the cardinality signal the executor
 /// uses to gate the morsel-parallel path without rescanning the table.
@@ -461,11 +473,6 @@ pub fn remap_expr(expr: &BoundExpr, from: &Schema, to: &Schema) -> Result<BoundE
     }
     expr.remap_columns(&mapping)
         .ok_or_else(|| BeasError::plan("column remapping failed".to_string()))
-}
-
-/// Remap a list of expressions (convenience).
-pub fn remap_exprs(exprs: &[BoundExpr], from: &Schema, to: &Schema) -> Result<Vec<BoundExpr>> {
-    exprs.iter().map(|e| remap_expr(e, from, to)).collect()
 }
 
 #[cfg(test)]
@@ -639,7 +646,7 @@ mod tests {
             LogicalPlan::Join {
                 keys, algorithm, ..
             } => Some((keys.clone(), *algorithm)),
-            LogicalPlan::Scan { .. } => None,
+            LogicalPlan::Scan { .. } | LogicalPlan::Context { .. } => None,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }

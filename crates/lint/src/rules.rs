@@ -38,7 +38,7 @@ const KEY_FNS: &[&str] = &[
 ];
 
 /// Blocking-operator files rule L003 applies to.
-const BLOCKING_FILES: &[&str] = &["src/executor.rs", "src/approx.rs"];
+const BLOCKING_FILES: &[&str] = &["src/executor.rs"];
 
 /// Tokens that prove a blocking loop cooperates with the session quota
 /// (rule L003): a direct checkpoint, or delegation to one of the

@@ -120,6 +120,43 @@ fn budget_checks_and_approximation_work_end_to_end() {
     assert!(tight.coverage <= 1.0);
 }
 
+/// Approximation is the exact plan under a tuple budget: over the ten
+/// covered TLC templates and budgets from the deduced bound down to one
+/// tuple, it never overruns the budget, never invents an answer, and at the
+/// full bound it *is* the exact answer, row for row and in order.
+#[test]
+fn approximation_of_every_covered_template_is_sound_and_exact_at_the_bound() {
+    let system = tlc_system(2);
+    for q in beas::tlc::all_queries().iter().filter(|q| q.expect_covered) {
+        let bound = system.check(&q.sql).unwrap().deduced_bound.unwrap();
+        let exact = system.execute_sql(&q.sql).unwrap();
+        let aggregate = q.sql.contains("COUNT(");
+        for budget in [bound, (bound / 2).max(1), 12, 1] {
+            let approx = system.approximate(&q.sql, budget).unwrap();
+            let what = format!("{} under budget {budget}", q.id);
+            assert!(approx.tuples_accessed <= budget, "{what}: over budget");
+            assert!((0.0..=1.0).contains(&approx.coverage), "{what}");
+            if budget >= bound {
+                assert_eq!(approx.rows, exact.rows, "{what}: not the exact answer");
+                assert_eq!(approx.coverage, 1.0, "{what}");
+                assert_eq!(approx.tuples_accessed, exact.tuples_accessed, "{what}");
+            }
+            for row in &approx.rows {
+                if aggregate {
+                    // groups are genuine and a COUNT(DISTINCT ..) over part
+                    // of the context is a lower bound on the exact count
+                    let (count, group) = row.split_last().unwrap();
+                    let full = exact.rows.iter().find(|r| r.starts_with(group));
+                    let full = full.unwrap_or_else(|| panic!("{what}: invented group {row:?}"));
+                    assert!(count.total_cmp(full.last().unwrap()).is_le(), "{what}");
+                } else {
+                    assert!(exact.rows.contains(row), "{what}: invented row {row:?}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn discovered_schema_supports_bounded_evaluation() {
     let db = beas::tlc::generate(&beas::tlc::TlcConfig::at_scale(1)).unwrap();

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 fn batch_execute(plan: &LogicalPlan, db: &Database) -> Result<Vec<Row>> {
     Ok(match plan {
         LogicalPlan::Scan { table, .. } => db.table(table)?.rows_iter().cloned().collect(),
+        LogicalPlan::Context { .. } => unreachable!("the baseline planner emits no Context leaf"),
         LogicalPlan::Filter { input, predicate } => {
             let mut out = Vec::new();
             for row in batch_execute(input, db)? {
