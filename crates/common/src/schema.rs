@@ -4,6 +4,7 @@
 use crate::error::{BeasError, Result};
 use crate::types::DataType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A column definition in a base table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,9 +130,19 @@ impl fmt::Display for ColumnRef {
 /// Fields keep an optional *origin* (`table`) so that the planner can trace a
 /// projected column back to the base-table attribute it came from — bounded
 /// plan generation needs this to decide which access constraints apply.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+///
+/// A schema is immutable once built and its fields are shared, so cloning
+/// one — plans, prepared queries and results all carry copies — costs a
+/// reference count, not a `String` per field.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
-    fields: Vec<Field>,
+    fields: Arc<[Field]>,
+}
+
+impl Default for Schema {
+    fn default() -> Self {
+        Schema::empty()
+    }
 }
 
 /// One field of an intermediate-result schema.
@@ -177,12 +188,14 @@ impl Field {
 impl Schema {
     /// Build a schema from fields.
     pub fn new(fields: Vec<Field>) -> Self {
-        Schema { fields }
+        Schema {
+            fields: fields.into(),
+        }
     }
 
     /// Empty schema (zero columns), used by plans that produce no columns.
     pub fn empty() -> Self {
-        Schema { fields: vec![] }
+        Schema::new(Vec::new())
     }
 
     /// Derive an intermediate schema exposing every column of a base table
@@ -214,9 +227,14 @@ impl Schema {
 
     /// Append the fields of `other` (used when joining two inputs).
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut fields = self.fields.clone();
-        fields.extend(other.fields.iter().cloned());
-        Schema { fields }
+        Schema {
+            fields: self
+                .fields
+                .iter()
+                .chain(other.fields.iter())
+                .cloned()
+                .collect(),
+        }
     }
 
     /// Find a field index by name, optionally qualified by table/alias.

@@ -6,12 +6,16 @@
 //! equivalent rewriting.  The check implemented here is the fixpoint
 //! described in DESIGN.md §5.1:
 //!
-//! * terms equated to constants are initially **accessible**;
+//! * terms equated to constants are initially **accessible**: their value
+//!   can key a lookup;
 //! * a constraint `R(X → Y, N)` *fires* on an atom of `R` once all of that
-//!   atom's `X` attributes are accessible, making its `Y` attributes (and
-//!   everything equated to them) accessible;
-//! * the query is covered when every attribute it needs is accessible on
-//!   every atom.
+//!   atom's `X` attributes are accessible; it **fetches** the atom's `X` and
+//!   `Y` attributes, and makes them (and everything equated to them)
+//!   accessible;
+//! * the query is covered when every attribute it needs has been fetched on
+//!   every atom.  Accessible is not enough: `call_type = 'x'` makes
+//!   `call_type` accessible, but unless some fired constraint retrieves the
+//!   attribute nothing can check the predicate against the data.
 //!
 //! For aggregate queries the checker additionally requires the aggregates to
 //! be *distinct-safe* (`COUNT(DISTINCT ..)`, `MIN`, `MAX`): access-constraint
@@ -26,7 +30,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// One application of an access constraint during the fixpoint.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FetchStep {
     /// The atom the constraint fires on.
     pub atom: usize,
@@ -35,7 +39,7 @@ pub struct FetchStep {
 }
 
 /// The outcome of the coverage check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoverageResult {
     /// Whether the query is covered (and hence boundedly evaluable under the
     /// effective syntax).
@@ -133,11 +137,16 @@ impl<'a> Checker<'a> {
         }
 
         // Fixpoint: fire applicable constraints until nothing new is learned.
+        // `fetched` holds what the fired constraints retrieve, atom by atom:
+        // a constant or an equated attribute makes a term *accessible* — its
+        // value can key a lookup — but only a fetch on the term's own atom
+        // retrieves it, and only a retrieved attribute can be checked.
         let mut fetch_sequence: Vec<FetchStep> = Vec::new();
+        let mut fetched: BTreeSet<Term> = BTreeSet::new();
         let mut fetched_atoms: BTreeSet<usize> = BTreeSet::new();
         loop {
             let mut progressed = false;
-            for atom in &graph.atoms {
+            for atom in graph.atoms.iter() {
                 for constraint in self.schema.for_table(&atom.table) {
                     // skip constraints referencing columns the relation lacks
                     if constraint.validate_against(&atom.schema).is_err() {
@@ -150,18 +159,14 @@ impl<'a> Checker<'a> {
                     if !key_available {
                         continue;
                     }
-                    // would this application teach us anything new?
-                    let new_terms: Vec<Term> = constraint
-                        .y
-                        .iter()
-                        .map(|y| (atom.idx, y.clone()))
-                        .filter(|t| !accessible.contains(t))
-                        .collect();
-                    if new_terms.is_empty() {
+                    // would this application retrieve anything new?
+                    let retrieved = || constraint.x.iter().chain(&constraint.y);
+                    if retrieved().all(|c| fetched.contains(&(atom.idx, c.clone()))) {
                         continue;
                     }
-                    for t in new_terms {
-                        add_with_class(t, &mut accessible);
+                    for c in retrieved() {
+                        fetched.insert((atom.idx, c.clone()));
+                        add_with_class((atom.idx, c.clone()), &mut accessible);
                     }
                     fetch_sequence.push(FetchStep {
                         atom: atom.idx,
@@ -179,16 +184,16 @@ impl<'a> Checker<'a> {
         // Which atoms ended up fully covered?
         let mut covered_atoms = BTreeSet::new();
         let mut missing = Vec::new();
-        for atom in &graph.atoms {
+        for atom in graph.atoms.iter() {
             let mut atom_missing: Vec<Term> = atom
                 .needed
                 .iter()
-                .filter(|c| !accessible.contains(&(atom.idx, (*c).clone())))
+                .filter(|c| !fetched.contains(&(atom.idx, (*c).clone())))
                 .map(|c| (atom.idx, c.clone()))
                 .collect();
-            // Even when every needed attribute is accessible, the atom itself
-            // must be reached through some fetch: otherwise the plan has no
-            // bounded way to verify which attribute combinations exist in D.
+            // Even when the query needs no attribute of the atom, the atom
+            // itself must be reached through some fetch: otherwise the plan
+            // has no bounded way to verify which tuples exist in D.
             if atom_missing.is_empty() && fetched_atoms.contains(&atom.idx) {
                 covered_atoms.insert(atom.idx);
             } else if atom_missing.is_empty() {
@@ -433,5 +438,35 @@ mod tests {
         assert!(!result.covered);
         assert!(result.fetch_sequence.is_empty());
         assert!(result.covered_atoms.is_empty());
+    }
+
+    #[test]
+    fn a_constant_makes_an_attribute_a_key_not_a_fetched_attribute() {
+        // `region = 'east'` gives region a value to key lookups with, but no
+        // constraint retrieves call.region here, so nothing could check the
+        // predicate: a plan that fetched (pnum, date -> recnum) alone would
+        // answer as if it were not there.
+        let narrow = AccessSchema::from_constraints(vec![AccessConstraint::new(
+            "call",
+            &["pnum", "date"],
+            &["recnum"],
+            500,
+        )
+        .unwrap()]);
+        let sql = "select recnum from call \
+                   where pnum = '1' and date = '2016-07-04' and region = 'east'";
+        let (result, _) = check(sql, &narrow);
+        assert!(!result.covered);
+        assert_eq!(result.missing, vec![(0, "region".to_string())]);
+        // with region among the fetched attributes the predicate is a
+        // post-filter, and a constraint whose every attribute is bound to a
+        // constant still has to fire for that
+        let (result, _) = check(
+            "select recnum from call where pnum = '1' and date = '2016-07-04' \
+             and region = 'east' and recnum = 'x'",
+            &a0(),
+        );
+        assert!(result.covered, "{result}");
+        assert_eq!(result.fetch_sequence.len(), 1);
     }
 }

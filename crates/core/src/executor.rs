@@ -544,12 +544,10 @@ pub fn rewrite_to_ctx(
                 }
             }
             if found.is_none() {
-                if let Some(v) = graph.constant_for(&term, &classes) {
-                    found = Some(BoundExpr::Literal(v));
-                }
+                found = graph.constant_for(&term, &classes).map(|c| c.to_expr());
             }
-        } else if let Some(v) = graph.constants.get(&term) {
-            found = Some(BoundExpr::Literal(v.clone()));
+        } else if let Some(c) = graph.constants.get(&term) {
+            found = Some(c.to_expr());
         }
         let replacement = found.ok_or_else(|| {
             BeasError::execution(format!(
@@ -559,54 +557,10 @@ pub fn rewrite_to_ctx(
         })?;
         substitutions.insert(col, replacement);
     }
-    Ok(substitute(expr, &substitutions))
-}
-
-fn substitute(expr: &BoundExpr, subs: &HashMap<usize, BoundExpr>) -> BoundExpr {
-    match expr {
-        BoundExpr::Column(i) => subs.get(i).cloned().unwrap_or_else(|| expr.clone()),
-        BoundExpr::Literal(_) => expr.clone(),
-        BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
-            op: *op,
-            left: Box::new(substitute(left, subs)),
-            right: Box::new(substitute(right, subs)),
-        },
-        BoundExpr::Not(e) => BoundExpr::Not(Box::new(substitute(e, subs))),
-        BoundExpr::Negate(e) => BoundExpr::Negate(Box::new(substitute(e, subs))),
-        BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
-            expr: Box::new(substitute(expr, subs)),
-            negated: *negated,
-        },
-        BoundExpr::InList {
-            expr,
-            list,
-            negated,
-        } => BoundExpr::InList {
-            expr: Box::new(substitute(expr, subs)),
-            list: list.iter().map(|e| substitute(e, subs)).collect(),
-            negated: *negated,
-        },
-        BoundExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => BoundExpr::Between {
-            expr: Box::new(substitute(expr, subs)),
-            low: Box::new(substitute(low, subs)),
-            high: Box::new(substitute(high, subs)),
-            negated: *negated,
-        },
-        BoundExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => BoundExpr::Like {
-            expr: Box::new(substitute(expr, subs)),
-            pattern: Box::new(substitute(pattern, subs)),
-            negated: *negated,
-        },
-    }
+    Ok(expr.map_leaves(&|leaf| match leaf {
+        BoundExpr::Column(i) => substitutions[i].clone(),
+        constant => constant.clone(),
+    }))
 }
 
 #[cfg(test)]

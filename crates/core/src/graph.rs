@@ -13,13 +13,15 @@ use beas_common::{BeasError, Result, TableSchema, Value};
 use beas_engine::split_bound_conjuncts;
 use beas_sql::ast::BinaryOperator;
 use beas_sql::{BoundExpr, BoundQuery};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A term of the query graph: column `column` of atom `atom`.
 pub type Term = (usize, String);
 
 /// One relation occurrence in the query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Atom {
     /// Index of this atom (position in the FROM clause).
     pub idx: usize,
@@ -27,15 +29,56 @@ pub struct Atom {
     pub alias: String,
     /// Base-table name.
     pub table: String,
-    /// Base-table schema.
-    pub schema: TableSchema,
+    /// Base-table schema, shared with the bound query's table factor.
+    pub schema: Arc<TableSchema>,
     /// Attributes of this atom the query needs.
     pub needed: BTreeSet<String>,
 }
 
+/// A constant the query binds an attribute to.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Constant {
+    /// The value.
+    pub value: Value,
+    /// The parameter slot the value fills, when the statement was prepared
+    /// as a query shape ([`BoundExpr::Param`]).
+    pub slot: Option<usize>,
+}
+
+impl Constant {
+    /// The constant as an expression leaf, still knowing its slot.
+    pub fn to_expr(&self) -> BoundExpr {
+        match self.slot {
+            Some(slot) => BoundExpr::Param {
+                slot,
+                value: self.value.clone(),
+            },
+            None => BoundExpr::Literal(self.value.clone()),
+        }
+    }
+
+    fn of(expr: &BoundExpr) -> Option<Constant> {
+        expr.as_constant().map(|(value, slot)| Constant {
+            value: value.clone(),
+            slot,
+        })
+    }
+
+    /// The constant a statement with parameter vector `values` has here.
+    pub(crate) fn bind_params(&self, values: &[Value]) -> Constant {
+        Constant {
+            value: match self.slot {
+                Some(slot) => values[slot].clone(),
+                None => self.value.clone(),
+            },
+            slot: None,
+        }
+    }
+}
+
 /// A single-atom predicate (selection) retained for execution on fetched
 /// partial tuples.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AtomFilter {
     /// The atom the predicate restricts.
     pub atom: usize,
@@ -44,18 +87,23 @@ pub struct AtomFilter {
 }
 
 /// The normalized query graph.
-#[derive(Debug, Clone)]
+///
+/// Atoms and equality edges hold no literal of the statement, so the graphs
+/// of all statements of one query shape share them.
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryGraph {
     /// Relation occurrences.
-    pub atoms: Vec<Atom>,
-    /// Attributes bound to a single constant (`col = 'x'`).
-    pub constants: BTreeMap<Term, Value>,
-    /// Attributes bound to a small list of constants (`col IN (...)`).
-    pub in_lists: BTreeMap<Term, Vec<Value>>,
+    pub atoms: Arc<[Atom]>,
+    /// Attributes bound to a single constant (`col = 'x'`): the first such
+    /// conjunct per attribute.
+    pub constants: BTreeMap<Term, Constant>,
+    /// Attributes bound to a small list of constants (`col IN (...)`): the
+    /// first such conjunct per attribute.
+    pub in_lists: BTreeMap<Term, Vec<Constant>>,
     /// Equality edges between attributes of *different* atoms.
-    pub equalities: Vec<(Term, Term)>,
+    pub equalities: Arc<[(Term, Term)]>,
     /// Residual single-atom predicates (ranges, LIKE, `<>`, intra-atom
-    /// equalities, ...).
+    /// equalities, a second constant or IN-list on one attribute, ...).
     pub filters: Vec<AtomFilter>,
     /// Predicates spanning several atoms that are not simple equalities;
     /// they are applied after all fetches and make the query harder to cover
@@ -77,7 +125,7 @@ impl QueryGraph {
                 idx: i,
                 alias: t.alias.clone(),
                 table: t.table.clone(),
-                schema: t.schema.clone(),
+                schema: Arc::clone(&t.schema),
                 needed: BTreeSet::new(),
             })
             .collect();
@@ -123,31 +171,41 @@ impl QueryGraph {
             None => Vec::new(),
         };
         for c in conjuncts {
+            // An attribute keeps the first constant (IN-list) the query
+            // binds it to; a further one cannot replace it — both must
+            // hold — and is checked as a filter on the fetched tuples.
+            let second = |term: &Term, predicate| AtomFilter {
+                atom: term.0,
+                predicate,
+            };
             match classify(&c, query) {
-                Classified::Constant(col, v) => {
-                    constants.insert(term_of(col), v);
-                }
-                Classified::InList(col, vs) => {
-                    in_lists.insert(term_of(col), vs);
-                }
+                Classified::Constant(col, v) => match constants.entry(term_of(col)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(v);
+                    }
+                    Entry::Occupied(first) => filters.push(second(first.key(), c)),
+                },
+                Classified::InList(col, vs) => match in_lists.entry(term_of(col)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(vs);
+                    }
+                    Entry::Occupied(first) => filters.push(second(first.key(), c)),
+                },
                 Classified::Equality(a, b) => {
                     equalities.push((term_of(a), term_of(b)));
                 }
-                Classified::SingleAtom(atom, expr) => {
-                    filters.push(AtomFilter {
-                        atom,
-                        predicate: expr,
-                    });
+                Classified::SingleAtom(atom) => {
+                    filters.push(AtomFilter { atom, predicate: c });
                 }
-                Classified::Residual(expr) => residual_predicates.push(expr),
+                Classified::Residual => residual_predicates.push(c),
             }
         }
 
         Ok(QueryGraph {
-            atoms,
+            atoms: atoms.into(),
             constants,
             in_lists,
-            equalities,
+            equalities: equalities.into(),
             filters,
             residual_predicates,
         })
@@ -168,7 +226,7 @@ impl QueryGraph {
                 classes.push(s);
             }
         };
-        for (a, b) in &self.equalities {
+        for (a, b) in self.equalities.iter() {
             add_term(&mut classes, a);
             add_term(&mut classes, b);
             let ia = find(&classes, a).expect("term added above");
@@ -187,13 +245,46 @@ impl QueryGraph {
         classes
     }
 
-    /// The constant value a term is (transitively) bound to, if any.
-    pub fn constant_for(&self, term: &Term, classes: &[BTreeSet<Term>]) -> Option<Value> {
+    /// The constant a term is (transitively) bound to, if any.
+    pub fn constant_for(&self, term: &Term, classes: &[BTreeSet<Term>]) -> Option<&Constant> {
         if let Some(v) = self.constants.get(term) {
-            return Some(v.clone());
+            return Some(v);
         }
         let class = classes.iter().find(|c| c.contains(term))?;
-        class.iter().find_map(|t| self.constants.get(t).cloned())
+        class.iter().find_map(|t| self.constants.get(t))
+    }
+
+    /// The graph of the statement that has this graph's shape and the
+    /// parameter vector `values`: constants and predicates are bound to
+    /// them, everything else is shared.
+    pub(crate) fn bind_params(&self, values: &[Value]) -> QueryGraph {
+        let bind = |e: &BoundExpr| e.bind_params(values);
+        QueryGraph {
+            atoms: Arc::clone(&self.atoms),
+            constants: self
+                .constants
+                .iter()
+                .map(|(term, c)| (term.clone(), c.bind_params(values)))
+                .collect(),
+            in_lists: self
+                .in_lists
+                .iter()
+                .map(|(term, cs)| {
+                    let cs = cs.iter().map(|c| c.bind_params(values)).collect();
+                    (term.clone(), cs)
+                })
+                .collect(),
+            equalities: Arc::clone(&self.equalities),
+            filters: self
+                .filters
+                .iter()
+                .map(|f| AtomFilter {
+                    atom: f.atom,
+                    predicate: bind(&f.predicate),
+                })
+                .collect(),
+            residual_predicates: self.residual_predicates.iter().map(bind).collect(),
+        }
     }
 
     /// All columns of atom `idx` that the query needs, in schema order.
@@ -221,37 +312,37 @@ pub fn atom_of_column(query: &BoundQuery, col: usize) -> (usize, &str) {
 }
 
 enum Classified {
-    Constant(usize, Value),
-    InList(usize, Vec<Value>),
+    Constant(usize, Constant),
+    InList(usize, Vec<Constant>),
     Equality(usize, usize),
-    SingleAtom(usize, BoundExpr),
-    Residual(BoundExpr),
+    SingleAtom(usize),
+    Residual,
 }
 
 fn classify(conjunct: &BoundExpr, query: &BoundQuery) -> Classified {
-    // column = literal (either side)
+    // column = constant (either side)
     if let BoundExpr::Binary {
         op: BinaryOperator::Eq,
         left,
         right,
     } = conjunct
     {
-        match (left.as_ref(), right.as_ref()) {
-            (BoundExpr::Column(i), BoundExpr::Literal(v))
-            | (BoundExpr::Literal(v), BoundExpr::Column(i)) => {
-                return Classified::Constant(*i, v.clone());
+        let sides = (left.as_ref(), right.as_ref());
+        if let (BoundExpr::Column(i), other) | (other, BoundExpr::Column(i)) = sides {
+            if let Some(constant) = Constant::of(other) {
+                return Classified::Constant(*i, constant);
             }
-            (BoundExpr::Column(a), BoundExpr::Column(b)) => {
-                let (ta, _) = atom_of_column(query, *a);
-                let (tb, _) = atom_of_column(query, *b);
-                if ta != tb {
-                    return Classified::Equality(*a, *b);
-                }
+        }
+        // column = column across two atoms
+        if let (BoundExpr::Column(a), BoundExpr::Column(b)) = sides {
+            let (ta, _) = atom_of_column(query, *a);
+            let (tb, _) = atom_of_column(query, *b);
+            if ta != tb {
+                return Classified::Equality(*a, *b);
             }
-            _ => {}
         }
     }
-    // column IN (literals)
+    // column IN (constants)
     if let BoundExpr::InList {
         expr,
         list,
@@ -259,13 +350,7 @@ fn classify(conjunct: &BoundExpr, query: &BoundQuery) -> Classified {
     } = conjunct
     {
         if let BoundExpr::Column(i) = expr.as_ref() {
-            let values: Option<Vec<Value>> = list
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Literal(v) => Some(v.clone()),
-                    _ => None,
-                })
-                .collect();
+            let values: Option<Vec<Constant>> = list.iter().map(Constant::of).collect();
             if let Some(values) = values {
                 if !values.is_empty() {
                     return Classified::InList(*i, values);
@@ -277,9 +362,9 @@ fn classify(conjunct: &BoundExpr, query: &BoundQuery) -> Classified {
     let cols = conjunct.referenced_columns();
     let atoms: BTreeSet<usize> = cols.iter().map(|&c| atom_of_column(query, c).0).collect();
     if atoms.len() == 1 {
-        return Classified::SingleAtom(*atoms.iter().next().unwrap(), conjunct.clone());
+        return Classified::SingleAtom(*atoms.iter().next().unwrap());
     }
-    Classified::Residual(conjunct.clone())
+    Classified::Residual
 }
 
 #[cfg(test)]
@@ -384,7 +469,7 @@ mod tests {
         assert!(classes.iter().any(|c| c.contains(&(0, "date".to_string()))));
         // constant lookup propagates through classes
         let v = g.constant_for(&(2, "type".to_string()), &classes);
-        assert_eq!(v, Some(Value::str("t0")));
+        assert_eq!(v.map(|c| &c.value), Some(&Value::str("t0")));
         assert_eq!(g.constant_for(&(0, "pnum".to_string()), &classes), None);
     }
 
@@ -429,5 +514,44 @@ mod tests {
         let g = graph("select region from call where pnum = recnum and date = '2016-07-04'");
         assert_eq!(g.filters.len(), 1);
         assert_eq!(g.equalities.len(), 0);
+    }
+
+    #[test]
+    fn a_second_constant_or_in_list_on_one_attribute_stays_a_filter() {
+        // Both conjuncts must hold; letting the later one replace the earlier
+        // answered `pnum = 'b'` alone.
+        let g = graph(
+            "select region from call where pnum = 'a' and date = '2016-07-04' and pnum = 'b' \
+             and recnum in ('x') and recnum in ('y', 'z')",
+        );
+        assert_eq!(g.constants[&(0, "pnum".to_string())].value, Value::str("a"));
+        let recnums = &g.in_lists[&(0, "recnum".to_string())];
+        assert_eq!(recnums.len(), 1);
+        assert_eq!(recnums[0].value, Value::str("x"));
+        let kept: Vec<String> = g.filters.iter().map(|f| f.predicate.to_string()).collect();
+        assert_eq!(kept, vec!["(#0 = 'b')", "(#1 IN ('y', 'z'))"]);
+        assert!(g.filters.iter().all(|f| f.atom == 0));
+    }
+
+    #[test]
+    fn constants_of_a_shape_keep_their_slot_until_bound() {
+        let db = db();
+        let values = vec![Value::str("b1"), Value::str("x"), Value::str("y")];
+        let stmt =
+            parse_select("select region from call where pnum = ?s and recnum in (?s, ?s)").unwrap();
+        let bound = Binder::new(&db).with_params(&values).bind(&stmt).unwrap();
+        let template = QueryGraph::build(&bound).unwrap();
+        assert_eq!(template.constants[&(0, "pnum".to_string())].slot, Some(0));
+        let slots: Vec<_> = template.in_lists[&(0, "recnum".to_string())]
+            .iter()
+            .map(|c| c.slot)
+            .collect();
+        assert_eq!(slots, vec![Some(1), Some(2)]);
+        // bound to another statement's values it is that statement's graph
+        let other = vec![Value::str("b2"), Value::str("p"), Value::str("q")];
+        assert_eq!(
+            template.bind_params(&other),
+            graph("select region from call where pnum = 'b2' and recnum in ('p', 'q')")
+        );
     }
 }

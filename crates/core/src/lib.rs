@@ -40,11 +40,11 @@ pub use executor::{
     execute_bounded, execute_bounded_with, execute_ctx_with, BoundedExecution, CtxResult,
     FetchConfig, PARALLEL_FETCH_MIN_KEYS,
 };
-pub use graph::{Atom, QueryGraph};
+pub use graph::{Atom, Constant, QueryGraph};
 pub use partial::{
     execute_partially_bounded, execute_partially_bounded_with, PartialExecution, PartialOptions,
     ReductionSaving, DEFAULT_REDUCTION_MIN_SAVINGS,
 };
-pub use plan::{BoundedPlan, KeySource, PlannedFetch};
+pub use plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch};
 pub use planner::{generate_bounded_plan, generate_plan_for_steps};
 pub use system::{BeasSystem, CheckReport, EvaluationMode, ExecutionOutcome, PreparedQuery};

@@ -40,8 +40,21 @@ impl fmt::Display for KeySource {
     }
 }
 
+/// A constant of a fetch key that fills a parameter slot of the query
+/// shape: `keys[key]` itself, or its `alternative`-th IN-list value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyParam {
+    /// Position in [`PlannedFetch::keys`].
+    pub key: usize,
+    /// Position in the IN-list of a [`KeySource::Constants`]; 0 for a
+    /// [`KeySource::Constant`].
+    pub alternative: usize,
+    /// The parameter slot.
+    pub slot: usize,
+}
+
 /// One planned fetch operation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFetch {
     /// The query atom (FROM-clause position) being fetched.
     pub atom: usize,
@@ -51,6 +64,11 @@ pub struct PlannedFetch {
     pub constraint: AccessConstraint,
     /// Key sources, one per attribute of the constraint's `X`, in `X` order.
     pub keys: Vec<KeySource>,
+    /// Which constants of `keys` fill parameter slots, for a plan generated
+    /// from a query shape; empty once the plan is bound to a statement's
+    /// values, and for a plan generated from a statement with its literals
+    /// in place.
+    pub key_params: Vec<KeyParam>,
     /// Upper bound on the number of (partial) tuples this fetch accesses.
     pub bound: u64,
     /// Predicates that become checkable right after this fetch (single-atom
@@ -59,8 +77,35 @@ pub struct PlannedFetch {
     pub post_filters: Vec<BoundExpr>,
 }
 
+impl PlannedFetch {
+    fn bind_params(&self, values: &[Value]) -> PlannedFetch {
+        let mut keys = self.keys.clone();
+        for p in &self.key_params {
+            let value = values[p.slot].clone();
+            match &mut keys[p.key] {
+                KeySource::Constant(v) => *v = value,
+                KeySource::Constants(vs) => vs[p.alternative] = value,
+                KeySource::Ctx(..) => unreachable!("a context column fills no parameter slot"),
+            }
+        }
+        PlannedFetch {
+            atom: self.atom,
+            alias: self.alias.clone(),
+            constraint: self.constraint.clone(),
+            keys,
+            key_params: Vec::new(),
+            bound: self.bound,
+            post_filters: self
+                .post_filters
+                .iter()
+                .map(|p| p.bind_params(values))
+                .collect(),
+        }
+    }
+}
+
 /// A complete bounded plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundedPlan {
     /// Fetch steps in execution order.
     pub fetches: Vec<PlannedFetch>,
@@ -81,6 +126,23 @@ pub struct BoundedPlan {
 }
 
 impl BoundedPlan {
+    /// The plan of the statement that has this plan's query shape and the
+    /// parameter vector `values`: fetch keys, post-filters and the
+    /// finalization's predicates are bound to them.  Bounds and fetch order
+    /// are the shape's — neither reads a literal's value.
+    pub(crate) fn bind_params(&self, values: &[Value]) -> BoundedPlan {
+        BoundedPlan {
+            fetches: self.fetches.iter().map(|f| f.bind_params(values)).collect(),
+            total_bound: self.total_bound,
+            constraints_used: self.constraints_used,
+            finalization: self
+                .finalization
+                .as_ref()
+                .map(|plan| plan.bind_params(values))
+                .map_err(Clone::clone),
+        }
+    }
+
     /// Render the plan with per-fetch bound annotations, in the style of the
     /// demo UI (Fig. 2(B)).
     pub fn explain(&self) -> String {
@@ -146,6 +208,7 @@ mod tests {
                     KeySource::Constant(Value::str("t0")),
                     KeySource::Constant(Value::str("r0")),
                 ],
+                key_params: vec![],
                 bound: 2000,
                 post_filters: vec![],
             }],

@@ -3,8 +3,8 @@
 
 use crate::checker::CoverageResult;
 use crate::executor::{rewrite_to_ctx, schema_after_fetch};
-use crate::graph::{QueryGraph, Term};
-use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
+use crate::graph::{Constant, QueryGraph, Term};
+use crate::plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch};
 use beas_common::{BeasError, Result, Schema};
 use beas_engine::{finalize_plan, LogicalPlan};
 use beas_sql::ast::BinaryOperator;
@@ -40,6 +40,10 @@ pub fn generate_plan_for_steps(
 ) -> Result<BoundedPlan> {
     let classes = graph.equivalence_classes();
     let mut ctx_columns: BTreeSet<Term> = BTreeSet::new();
+    // Per equivalence class: its first member fetched into the context, and
+    // whether that member is known to equal a constant.  Every later member
+    // is tied to it, by its lookup key or by a post-filter.
+    let mut anchors: Vec<Option<(Term, bool)>> = vec![None; classes.len()];
     let mut assigned_filters = vec![false; graph.filters.len()];
     let mut fetches = Vec::new();
 
@@ -72,7 +76,7 @@ pub fn generate_plan_for_steps(
             .enumerate()
             .filter(|(_, s)| {
                 s.constraint.x.iter().all(|x| {
-                    resolve_key_source(graph, &classes, &ctx_columns, &(s.atom, x.clone())).is_ok()
+                    resolve_key(graph, &classes, &ctx_columns, &(s.atom, x.clone())).is_ok()
                 })
             })
             .map(|(i, _)| i)
@@ -87,50 +91,106 @@ pub fn generate_plan_for_steps(
         let atom = &graph.atoms[step.atom];
         // Resolve each key attribute of X to a source.
         let mut keys = Vec::new();
-        for x in &step.constraint.x {
+        let mut key_params = Vec::new();
+        for (key, x) in step.constraint.x.iter().enumerate() {
             let term: Term = (step.atom, x.clone());
-            keys.push(resolve_key_source(graph, &classes, &ctx_columns, &term)?);
+            // a key constant lifted from the statement remembers its slot
+            let mut note_slot = |alternative: usize, c: &Constant| {
+                if let Some(slot) = c.slot {
+                    key_params.push(KeyParam {
+                        key,
+                        alternative,
+                        slot,
+                    });
+                }
+            };
+            keys.push(match resolve_key(graph, &classes, &ctx_columns, &term)? {
+                KeyOrigin::Constant(c) => {
+                    note_slot(0, c);
+                    KeySource::Constant(c.value.clone())
+                }
+                KeyOrigin::Constants(cs) => {
+                    cs.iter().enumerate().for_each(|(i, c)| note_slot(i, c));
+                    KeySource::Constants(cs.iter().map(|c| c.value.clone()).collect())
+                }
+                KeyOrigin::Ctx(member) => KeySource::Ctx(member.0, member.1.clone()),
+            });
         }
 
         // Which predicates become checkable after this fetch?
         let mut post_filters = Vec::new();
+        let fetched = || step.constraint.x.iter().chain(step.constraint.y.iter());
         // (a) equality/IN constraints on the newly fetched attributes.
-        for col in step.constraint.x.iter().chain(step.constraint.y.iter()) {
+        for col in fetched() {
             let term = (step.atom, col.clone());
             let global = global_index(query, step.atom, col)?;
-            if let Some(v) = graph.constants.get(&term) {
+            if let Some(c) = graph.constants.get(&term) {
                 post_filters.push(BoundExpr::Binary {
                     op: BinaryOperator::Eq,
                     left: Box::new(BoundExpr::Column(global)),
-                    right: Box::new(BoundExpr::Literal(v.clone())),
+                    right: Box::new(c.to_expr()),
                 });
             }
-            if let Some(vs) = graph.in_lists.get(&term) {
+            if let Some(cs) = graph.in_lists.get(&term) {
                 post_filters.push(BoundExpr::InList {
                     expr: Box::new(BoundExpr::Column(global)),
-                    list: vs.iter().cloned().map(BoundExpr::Literal).collect(),
+                    list: cs.iter().map(Constant::to_expr).collect(),
                     negated: false,
                 });
             }
         }
 
+        // (b) the equalities the fetched attributes take part in.  A lookup
+        // keyed by an equated context column enforces its equality; so do
+        // two lookups keyed by the one constant their class has.  Anything
+        // else — both ends keyed by constants of their own, an end keyed by
+        // an IN-list, an end that is a fetched (`Y`) attribute — is only
+        // true of some fetched combinations and is checked here, against
+        // the class's first member in the context.
+        for (position, col) in fetched().enumerate() {
+            let term = (step.atom, col.clone());
+            if ctx_columns.contains(&term) {
+                continue;
+            }
+            let Some(class) = classes.iter().position(|c| c.contains(&term)) else {
+                continue;
+            };
+            let key = keys.get(position);
+            let pinned =
+                graph.constants.contains_key(&term) || matches!(key, Some(KeySource::Constant(_)));
+            let Some((anchor, anchor_pinned)) = &anchors[class] else {
+                anchors[class] = Some((term, pinned));
+                continue;
+            };
+            let by_lookup = matches!(
+                key,
+                Some(KeySource::Ctx(a, c)) if classes[class].contains(&(*a, c.clone()))
+            );
+            let one_constant = || {
+                let owners = classes[class].iter();
+                owners.filter(|t| graph.constants.contains_key(*t)).count() == 1
+            };
+            if by_lookup || (pinned && *anchor_pinned && one_constant()) {
+                continue;
+            }
+            post_filters.push(BoundExpr::Binary {
+                op: BinaryOperator::Eq,
+                left: Box::new(BoundExpr::Column(global_index(query, step.atom, col)?)),
+                right: Box::new(BoundExpr::Column(global_index(query, anchor.0, &anchor.1)?)),
+            });
+        }
+
         // Update the context columns.
-        for col in step.constraint.x.iter().chain(step.constraint.y.iter()) {
+        for col in fetched() {
             ctx_columns.insert((step.atom, col.clone()));
         }
 
-        // (b) single-atom filters whose columns are all now in the context.
+        // (c) single-atom filters whose columns are all now in the context.
         for (i, f) in graph.filters.iter().enumerate() {
             if assigned_filters[i] {
                 continue;
             }
-            let refs = f.predicate.referenced_columns();
-            let all_available = refs.iter().all(|&c| {
-                let (a, _) = crate::graph::atom_of_column(query, c);
-                let name = query.input_schema.field(c).name.clone();
-                ctx_columns.contains(&(a, name))
-            });
-            if all_available {
+            if in_context(query, &ctx_columns, &f.predicate) {
                 post_filters.push(f.predicate.clone());
                 assigned_filters[i] = true;
             }
@@ -146,6 +206,7 @@ pub fn generate_plan_for_steps(
             alias: atom.alias.clone(),
             constraint: step.constraint.clone(),
             keys,
+            key_params,
             bound: fetch_bound,
             post_filters,
         });
@@ -153,36 +214,21 @@ pub fn generate_plan_for_steps(
 
     // Residual predicates: only those whose columns are all in the context
     // (always true for fully covered queries; partially bounded plans keep
-    // the rest for the DBMS residue).
-    let mut residual_predicates = Vec::new();
-    for p in &graph.residual_predicates {
-        let refs = p.referenced_columns();
-        let available = refs.iter().all(|&c| {
-            let (a, _) = crate::graph::atom_of_column(query, c);
-            let name = query.input_schema.field(c).name.clone();
-            ctx_columns.contains(&(a, name))
-        });
-        if available {
-            residual_predicates.push(p.clone());
-        }
-    }
-    // Any single-atom filter not assignable to a step (possible in partial
-    // plans) is also deferred to the residual stage if its columns are
-    // available.
-    for (i, f) in graph.filters.iter().enumerate() {
-        if assigned_filters[i] {
-            continue;
-        }
-        let refs = f.predicate.referenced_columns();
-        let available = refs.iter().all(|&c| {
-            let (a, _) = crate::graph::atom_of_column(query, c);
-            let name = query.input_schema.field(c).name.clone();
-            ctx_columns.contains(&(a, name))
-        });
-        if available {
-            residual_predicates.push(f.predicate.clone());
-        }
-    }
+    // the rest for the DBMS residue).  Any single-atom filter not assignable
+    // to a step (possible in partial plans) is deferred to this stage too.
+    let unassigned = graph
+        .filters
+        .iter()
+        .zip(&assigned_filters)
+        .filter(|(_, assigned)| !**assigned)
+        .map(|(f, _)| &f.predicate);
+    let residual_predicates: Vec<BoundExpr> = graph
+        .residual_predicates
+        .iter()
+        .chain(unassigned)
+        .filter(|p| in_context(query, &ctx_columns, p))
+        .cloned()
+        .collect();
 
     let constraints_used = {
         let mut ids: Vec<String> = fetches.iter().map(|f| f.constraint.id()).collect();
@@ -196,6 +242,14 @@ pub fn generate_plan_for_steps(
         fetches,
         total_bound,
         constraints_used,
+    })
+}
+
+/// Whether every column `predicate` reads has been fetched into the context.
+fn in_context(query: &BoundQuery, ctx_columns: &BTreeSet<Term>, predicate: &BoundExpr) -> bool {
+    predicate.referenced_columns().iter().all(|&c| {
+        let (atom, _) = crate::graph::atom_of_column(query, c);
+        ctx_columns.contains(&(atom, query.input_schema.field(c).name.clone()))
     })
 }
 
@@ -230,38 +284,46 @@ fn finalization_plan(
     })
 }
 
-fn resolve_key_source(
-    graph: &QueryGraph,
-    classes: &[BTreeSet<Term>],
+/// Where the value of a key attribute comes from, before it is copied
+/// into a [`KeySource`].
+enum KeyOrigin<'g> {
+    Constant(&'g Constant),
+    Constants(&'g [Constant]),
+    Ctx(&'g Term),
+}
+
+fn resolve_key<'g>(
+    graph: &'g QueryGraph,
+    classes: &'g [BTreeSet<Term>],
     ctx_columns: &BTreeSet<Term>,
-    term: &Term,
-) -> Result<KeySource> {
+    term: &'g Term,
+) -> Result<KeyOrigin<'g>> {
     // 1. a constant bound to the term (directly or through its class)
-    if let Some(v) = graph.constant_for(term, classes) {
-        return Ok(KeySource::Constant(v));
+    if let Some(c) = graph.constant_for(term, classes) {
+        return Ok(KeyOrigin::Constant(c));
     }
     // 2. an IN-list on the term or a class member
-    if let Some(vs) = graph.in_lists.get(term) {
-        return Ok(KeySource::Constants(vs.clone()));
+    if let Some(cs) = graph.in_lists.get(term) {
+        return Ok(KeyOrigin::Constants(cs));
     }
     if let Some(class) = classes.iter().find(|c| c.contains(term)) {
         for member in class {
-            if let Some(vs) = graph.in_lists.get(member) {
-                return Ok(KeySource::Constants(vs.clone()));
+            if let Some(cs) = graph.in_lists.get(member) {
+                return Ok(KeyOrigin::Constants(cs));
             }
         }
         // 3. a context column (the term itself or an equated attribute
         //    fetched by an earlier step)
         if ctx_columns.contains(term) {
-            return Ok(KeySource::Ctx(term.0, term.1.clone()));
+            return Ok(KeyOrigin::Ctx(term));
         }
         for member in class {
             if ctx_columns.contains(member) {
-                return Ok(KeySource::Ctx(member.0, member.1.clone()));
+                return Ok(KeyOrigin::Ctx(member));
             }
         }
     } else if ctx_columns.contains(term) {
-        return Ok(KeySource::Ctx(term.0, term.1.clone()));
+        return Ok(KeyOrigin::Ctx(term));
     }
     Err(BeasError::plan(format!(
         "internal error: key attribute {}.{} is not available when its fetch fires",
@@ -465,5 +527,126 @@ mod tests {
         assert_eq!(global_index(&bound, 0, "pnum").unwrap(), 0);
         assert_eq!(global_index(&bound, 1, "pid").unwrap(), 5);
         assert!(global_index(&bound, 0, "nope").is_err());
+    }
+
+    /// The column-to-column equalities among a fetch step's post-filters.
+    fn join_checks(plan: &BoundedPlan, step: usize) -> Vec<String> {
+        plan.fetches[step]
+            .post_filters
+            .iter()
+            .filter(|p| {
+                matches!(p, BoundExpr::Binary { op: BinaryOperator::Eq, left, right }
+                    if matches!((left.as_ref(), right.as_ref()),
+                        (BoundExpr::Column(_), BoundExpr::Column(_))))
+            })
+            .map(|p| p.to_string())
+            .collect()
+    }
+
+    #[test]
+    fn an_equality_no_lookup_enforces_is_checked_after_the_fetch() {
+        // Each end keyed by a constant of its own: the join is only true
+        // when the two constants happen to be equal.
+        let plan = plan_for(
+            "select call.region from call, business \
+             where business.type = 't0' and business.region = 'r0' \
+             and business.pnum = call.pnum and business.pnum = 'a' \
+             and call.pnum = 'b' and call.date = '2016-07-04'",
+            &a0(),
+        )
+        .unwrap();
+        // call (N = 500) is fetched first, by its own constant; business
+        // then brings in the other end, and the comparison with it
+        assert_eq!(plan.fetches[0].alias, "call");
+        assert_eq!(
+            plan.fetches[0].keys[0],
+            KeySource::Constant(Value::str("b"))
+        );
+        assert_eq!(join_checks(&plan, 1), vec!["(#4 = #0)"]);
+
+        // An end keyed by an IN-list takes every listed value for every
+        // context row, whatever the row's own value is.
+        let plan = plan_for(
+            "select c.recnum, d.recnum from call c, call d \
+             where c.pnum in ('a', 'b') and c.pnum = d.pnum \
+             and c.date = '2016-07-04' and d.date = '2016-07-04'",
+            &a0(),
+        )
+        .unwrap();
+        assert!(matches!(plan.fetches[1].keys[0], KeySource::Constants(_)));
+        assert_eq!(join_checks(&plan, 1).len(), 1);
+
+        // Two fetched (`Y`) attributes equated with each other.
+        let plan = plan_for(
+            "select c.recnum from call c, call d \
+             where c.pnum = 'a' and c.date = '2016-07-04' \
+             and d.pnum = 'b' and d.date = '2016-07-05' and c.region = d.region",
+            &a0(),
+        )
+        .unwrap();
+        assert_eq!(join_checks(&plan, 1).len(), 1);
+    }
+
+    #[test]
+    fn an_equality_the_lookups_enforce_costs_no_filter() {
+        // Example 2: every join is a lookup keyed by the context.
+        let plan = plan_for(example2_sql(), &a0()).unwrap();
+        for step in 0..plan.fetches.len() {
+            assert!(join_checks(&plan, step).is_empty(), "step {step}");
+        }
+        // Both ends keyed by the one constant their class has.
+        let plan = plan_for(
+            "select call.region from call, package \
+             where call.pnum = 'b' and call.date = '2016-07-04' \
+             and call.pnum = package.pnum and package.year = 2016",
+            &a0(),
+        )
+        .unwrap();
+        assert!(plan
+            .fetches
+            .iter()
+            .all(|f| f.keys[0] == KeySource::Constant(Value::str("b"))));
+        assert!(join_checks(&plan, 0).is_empty() && join_checks(&plan, 1).is_empty());
+    }
+
+    #[test]
+    fn key_constants_of_a_shape_remember_their_slots() {
+        let db = db();
+        let values = vec![
+            Value::str("a"),
+            Value::str("b"),
+            Value::str("2016-07-04"),
+            Value::str("r%"),
+        ];
+        let stmt = parse_select(
+            "select recnum from call where pnum in (?s, ?s) and date = ?s and region like ?s",
+        )
+        .unwrap();
+        let bound = Binder::new(&db).with_params(&values).bind(&stmt).unwrap();
+        let graph = QueryGraph::build(&bound).unwrap();
+        let coverage = Checker::new(&a0()).check(&bound, &graph);
+        let template = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
+        let slots: Vec<(usize, usize, usize)> = template.fetches[0]
+            .key_params
+            .iter()
+            .map(|p| (p.key, p.alternative, p.slot))
+            .collect();
+        assert_eq!(slots, vec![(0, 0, 0), (0, 1, 1), (1, 0, 2)]);
+        // bound to another statement's values it is that statement's plan
+        let other = vec![
+            Value::str("x"),
+            Value::str("y"),
+            Value::str("2016-08-01"),
+            Value::str("%st"),
+        ];
+        assert_eq!(
+            template.bind_params(&other),
+            plan_for(
+                "select recnum from call where pnum in ('x', 'y') and date = '2016-08-01' \
+                 and region like '%st'",
+                &a0()
+            )
+            .unwrap()
+        );
     }
 }

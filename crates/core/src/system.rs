@@ -24,12 +24,12 @@ use beas_access::{
     build_indexes, discover, AccessIndexes, AccessSchema, DiscoveryConfig, Maintainer,
     MaintenanceOutcome, MaintenancePolicy,
 };
-use beas_common::{BeasError, QuotaTracker, Result, Row, Schema};
+use beas_common::{BeasError, QuotaTracker, Result, Row, Schema, Value};
 use beas_engine::{
     analyze_tree, Engine, ExecOptions, ExecProfile, ExecutionMetrics, OptimizerProfile,
-    ParallelConfig, PlanCacheStats,
+    ParallelConfig, PlanCacheOutcome, PlanCacheStats,
 };
-use beas_sql::{parse_select, Binder, BoundQuery};
+use beas_sql::{lift_literals, parse_select, Binder, BoundQuery};
 use beas_storage::Database;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,12 +107,18 @@ struct SchemaEpoch {
 /// [`BeasSystem::approximate_prepared`] /
 /// [`BeasSystem::estimate_conventional_tuples_prepared`], so one cache
 /// acquisition serves a whole admission → execution round trip.
-#[derive(Debug)]
+///
+/// Two prepared queries are equal when every stage produced the same:
+/// the oracle that a statement instantiated from its shape's template is
+/// the statement prepared on its own.
+#[derive(Debug, PartialEq)]
 pub struct PreparedQuery {
     epoch: SchemaEpoch,
+    /// The literal values lifted out of the statement, in slot order.
+    params: Vec<Value>,
     query: BoundQuery,
     graph: QueryGraph,
-    coverage: CoverageResult,
+    coverage: Arc<CoverageResult>,
     /// The bounded plan when the query is covered.
     plan: Option<BoundedPlan>,
 }
@@ -128,76 +134,189 @@ impl PreparedQuery {
     pub fn deduced_bound(&self) -> Option<u64> {
         self.plan.as_ref().map(|p| p.total_bound)
     }
+
+    /// The prepared form of the statement that has the query shape of
+    /// `self` — a template, whose literals are still parameter slots — and
+    /// the literal values `values`: what preparing that statement from its
+    /// text would produce.  Only nodes that carry a literal are copied
+    /// (predicates, graph constants, fetch keys and post-filters, the
+    /// finalization's expressions); schemas, table factors, atoms, equality
+    /// edges and the coverage result are shared with the template.
+    fn instantiate(&self, values: Vec<Value>) -> PreparedQuery {
+        assert_eq!(
+            values.len(),
+            self.params.len(),
+            "a statement has one literal per slot of its shape"
+        );
+        PreparedQuery {
+            epoch: self.epoch,
+            query: self.query.bind_params(&values),
+            graph: self.graph.bind_params(&values),
+            coverage: Arc::clone(&self.coverage),
+            plan: self.plan.as_ref().map(|p| p.bind_params(&values)),
+            params: values,
+        }
+    }
 }
 
-/// Keyed plan cache: normalized SQL text → prepared query.
+/// The plan cache: one plan per query **shape**, behind an exact-match
+/// front keyed by text.
 ///
-/// TLC-style workloads repeat a handful of query shapes endlessly; without
-/// the cache every submission re-runs parse → bind → check → plan
-/// (`budget_check_q1` in `BENCH_micro.json` shows that cost).  A prepared
-/// query depends on the catalog and the access schema only, so an entry is
-/// valid for as long as the [`SchemaEpoch`] it was prepared under stands:
-/// data writes invalidate nothing (execution reads the rows and indices of
-/// the snapshot it runs on, never the cache), while DDL and constraint or
-/// bound changes invalidate every entry.
+/// * `texts` maps normalized SQL text to the statement's prepared query.  A
+///   repeated text costs one hash lookup and nothing else — no lexing, no
+///   copying.
+/// * `shapes` maps a shape key ([`lift_literals`]: the statement with the
+///   literals of WHERE / JOIN ON / HAVING replaced by typed placeholders) to
+///   the shape's *template*: the prepared query whose literal-carrying
+///   nodes still know their parameter slot.  A text not seen before whose
+///   shape is known costs a lexer pass and
+///   [`PreparedQuery::instantiate`]; only a new shape runs parse → bind →
+///   graph → check → plan.
+///
+/// **Why one plan serves every statement of a shape.**  Nothing the cache
+/// stores depends on the *value* of a lifted literal:
+///
+/// * the binder resolves names and types; the cases where it compares
+///   literals by value (merging aggregate calls, matching HAVING against
+///   group keys) and the parser's folding of negative literals are exactly
+///   the literals the lexer pass does not lift;
+/// * the query graph classifies a conjunct by its form (`column = constant`,
+///   `column IN (constants)`, ...), and the first constant per attribute
+///   wins by position, not by value;
+/// * coverage reads which attributes are bound to constants; the plan's
+///   fetch order and deduced bound read constraint cardinalities and
+///   IN-list *lengths*, which are part of the shape key;
+/// * admission's estimate for an uncovered query reads atoms and equality
+///   edges ([`BeasSystem::estimate_conventional_tuples_prepared`]).
+///
+/// What does depend on a value runs per execution, on the instantiated
+/// query: the cast of a key literal to its column's type and its failure
+/// (`'2016-07-04'` → DATE, in the fetch step), every predicate, and the
+/// baseline planner's selectivity estimates.
+///
+/// A plan that is only right for *some* parameter vectors breaks the
+/// argument.  Six were found with this cache and are plans no more (see
+/// `tests/end_to_end.rs`): a second constant, or IN-list, on one attribute
+/// replacing the first (the graph now keeps it as a filter); a join whose
+/// ends were each keyed by a constant of their own, or by an IN-list, or
+/// were both fetched attributes, never being compared (the planner now
+/// checks every equality that lookups do not enforce); and a constant on an
+/// attribute no constraint fetches never being checked (such a query is
+/// not covered).
+///
+/// A prepared query depends on the catalog and the access schema only, so
+/// an entry of either map is valid for as long as the [`SchemaEpoch`] it
+/// was prepared under stands: data writes invalidate nothing (execution
+/// reads the rows and indices of the snapshot it runs on, never the cache),
+/// while DDL and constraint or bound changes invalidate every entry.
 #[derive(Debug, Default)]
 struct PlanCache {
-    entries: Mutex<HashMap<String, Arc<PreparedQuery>>>,
+    texts: CacheMap,
+    shapes: CacheMap,
     /// Allocator of access-schema epochs, shared by every fork that shares
     /// the cache so that forks diverging independently never reuse one.
     access_epochs: AtomicU64,
     hits: AtomicU64,
+    shape_hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
 }
 
-/// Bound on cached entries; prevents unbounded growth under ad-hoc
-/// workloads (repeating workloads hold far fewer shapes than this).
+/// One keyed map of the plan cache.
+#[derive(Debug, Default)]
+struct CacheMap(Mutex<HashMap<String, Arc<PreparedQuery>>>);
+
+/// Bound on the entries of each cache map; prevents unbounded growth under
+/// ad-hoc workloads.  A full map is emptied: an evicted text costs one
+/// instantiation to bring back, and shapes number far fewer than this in a
+/// repeating workload.
 const PLAN_CACHE_CAP: usize = 256;
 
-impl PlanCache {
-    /// Fetch the entry for `key` if it was prepared under `epoch`, counting
-    /// the lookup.  An entry from another epoch is evicted and counted as
-    /// an invalidation; the caller's re-prepared entry replaces it.
-    fn lookup(&self, key: &str, epoch: SchemaEpoch) -> Option<Arc<PreparedQuery>> {
-        let mut entries = self.entries.lock().expect("plan cache lock");
+impl CacheMap {
+    /// The entry for `key` if it was prepared under `epoch`.  An entry from
+    /// another epoch is evicted and reported through `stale`.
+    fn get(&self, key: &str, epoch: SchemaEpoch, stale: &mut bool) -> Option<Arc<PreparedQuery>> {
+        let mut entries = self.0.lock().expect("plan cache lock");
         match entries.get(key) {
-            Some(entry) if entry.epoch == epoch => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(Arc::clone(entry));
-            }
+            Some(entry) if entry.epoch == epoch => Some(Arc::clone(entry)),
             Some(_) => {
-                entries.remove(key);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
+                // freed with the lock released, like a full map's entries
+                let evicted = entries.remove(key);
+                drop(entries);
+                drop(evicted);
+                *stale = true;
+                None
             }
-            None => {}
+            None => None,
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
     }
 
     fn insert(&self, key: String, entry: Arc<PreparedQuery>) {
-        let mut entries = self.entries.lock().expect("plan cache lock");
-        if entries.len() >= PLAN_CACHE_CAP {
-            entries.clear();
-        }
-        entries.insert(key, entry);
+        let evicted = {
+            let mut entries = self.0.lock().expect("plan cache lock");
+            let evicted = if entries.len() >= PLAN_CACHE_CAP {
+                std::mem::take(&mut *entries)
+            } else {
+                HashMap::new()
+            };
+            entries.insert(key, entry);
+            evicted
+        };
+        // Up to `PLAN_CACHE_CAP` deep prepared queries: freed with the lock
+        // released, so the other sessions' lookups do not wait for it.
+        drop(evicted);
     }
 
     fn clear(&self) {
-        self.entries.lock().expect("plan cache lock").clear();
+        let evicted = std::mem::take(&mut *self.0.lock().expect("plan cache lock"));
+        drop(evicted);
+    }
+
+    /// The entries, for validation.
+    #[cfg(any(debug_assertions, feature = "validate"))]
+    fn snapshot(&self) -> Vec<(String, Arc<PreparedQuery>)> {
+        let entries = self.0.lock().expect("plan cache lock");
+        entries
+            .iter()
+            .map(|(key, entry)| (key.clone(), Arc::clone(entry)))
+            .collect()
+    }
+}
+
+impl PlanCache {
+    /// Count one lookup: a hit by text or by shape, or a miss; `stale` says
+    /// it found an entry of another epoch on the way.
+    fn count(&self, outcome: PlanCacheOutcome, stale: bool) {
+        let counter = match outcome {
+            PlanCacheOutcome::TextHit => &self.hits,
+            PlanCacheOutcome::ShapeHit => {
+                self.shape_hits.fetch_add(1, Ordering::Relaxed);
+                &self.hits
+            }
+            PlanCacheOutcome::Miss => &self.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if stale {
+            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn clear(&self) {
+        self.texts.clear();
+        self.shapes.clear();
     }
 
     fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
+            shape_hits: self.shape_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Normalize SQL text into a cache key: `--` line comments are dropped,
+/// Normalize SQL text into the key of the cache's text map: `--` line comments are dropped,
 /// whitespace runs collapse to one space, and everything *outside*
 /// single-quoted literals is lowercased, so reformatted or re-cased
 /// submissions of the same query share an entry.  Literal contents are
@@ -433,9 +552,11 @@ impl BeasSystem {
     }
 
     /// Prepare `sql` — parse → bind → graph → coverage check → bounded plan
-    /// — through the keyed plan cache.  Repeated submissions of the same
-    /// (normalized) SQL reuse the cached result for as long as the catalog
-    /// and the access schema stand; data writes do not re-prepare anything.
+    /// — through the plan cache.  A repeated (normalized) text reuses its
+    /// prepared query; a new text of a known query shape binds the shape's
+    /// plan to its own literal values; only a new shape is planned.  All of
+    /// it stands for as long as the catalog and the access schema do; data
+    /// writes re-prepare nothing.
     ///
     /// Public so a service can acquire the prepared query *once* per
     /// submission and thread the same `Arc` through admission
@@ -443,25 +564,71 @@ impl BeasSystem {
     /// [`PreparedQuery::deduced_bound`]) and execution
     /// ([`BeasSystem::execute_prepared`]).
     pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedQuery>> {
-        Ok(self.prepare_traced(sql)?.0)
+        Ok(self.prepare_outcome(sql)?.0)
     }
 
     /// [`BeasSystem::prepare`] plus whether the result was served from the
-    /// plan cache.  Still exactly one cache acquisition — the service uses
-    /// this to stamp the hit/miss into a submission's trace without racing
-    /// the shared cache counters against concurrent sessions.
+    /// plan cache, by text or by shape.
     pub fn prepare_traced(&self, sql: &str) -> Result<(Arc<PreparedQuery>, bool)> {
-        let key = normalize_sql(sql);
-        if let Some(entry) = self.plan_cache.lookup(&key, self.schema_epoch()) {
-            return Ok((entry, true));
+        let (prepared, outcome) = self.prepare_outcome(sql)?;
+        Ok((prepared, outcome.is_hit()))
+    }
+
+    /// [`BeasSystem::prepare`] plus how the plan cache answered.  Still
+    /// exactly one cache acquisition — the service uses this to stamp the
+    /// outcome into a submission's trace without racing the shared cache
+    /// counters against concurrent sessions.
+    pub fn prepare_outcome(&self, sql: &str) -> Result<(Arc<PreparedQuery>, PlanCacheOutcome)> {
+        let cache = &self.plan_cache;
+        let epoch = self.schema_epoch();
+        let text = normalize_sql(sql);
+        let mut stale = false;
+        if let Some(entry) = cache.texts.get(&text, epoch, &mut stale) {
+            cache.count(PlanCacheOutcome::TextHit, false);
+            return Ok((entry, PlanCacheOutcome::TextHit));
         }
-        let entry = Arc::new(self.prepare_bound(self.bind(sql)?)?);
-        self.plan_cache.insert(key, Arc::clone(&entry));
-        Ok((entry, false))
+        let prepared = self.prepare_by_shape(sql, epoch, &mut stale);
+        // a statement that fails to prepare counts as a miss
+        let outcome = prepared
+            .as_ref()
+            .map_or(PlanCacheOutcome::Miss, |(_, outcome)| *outcome);
+        cache.count(outcome, stale);
+        let (entry, outcome) = prepared?;
+        cache.texts.insert(text, Arc::clone(&entry));
+        Ok((entry, outcome))
+    }
+
+    /// Prepare a text the cache has not seen: instantiate its shape's
+    /// template, preparing the template first if the shape is new too.
+    fn prepare_by_shape(
+        &self,
+        sql: &str,
+        epoch: SchemaEpoch,
+        stale: &mut bool,
+    ) -> Result<(Arc<PreparedQuery>, PlanCacheOutcome)> {
+        let shapes = &self.plan_cache.shapes;
+        let (shape, values) = lift_literals(sql)?;
+        let (template, outcome) = match shapes.get(&shape, epoch, stale) {
+            Some(template) => (template, PlanCacheOutcome::ShapeHit),
+            None => {
+                let template = Arc::new(self.prepare_shape(&shape, &values)?);
+                shapes.insert(shape, Arc::clone(&template));
+                (template, PlanCacheOutcome::Miss)
+            }
+        };
+        Ok((Arc::new(template.instantiate(values)), outcome))
+    }
+
+    /// The template of a query shape: the shape — itself SQL, with
+    /// placeholders — prepared with its slots bound to `values`.
+    fn prepare_shape(&self, shape: &str, values: &[Value]) -> Result<PreparedQuery> {
+        let stmt = parse_select(shape)?;
+        let query = Binder::new(&self.db).with_params(values).bind(&stmt)?;
+        self.prepare_bound(query, values.to_vec())
     }
 
     /// Graph → coverage check → bounded plan for a bound query.
-    fn prepare_bound(&self, query: BoundQuery) -> Result<PreparedQuery> {
+    fn prepare_bound(&self, query: BoundQuery, params: Vec<Value>) -> Result<PreparedQuery> {
         let graph = QueryGraph::build(&query)?;
         let coverage = Checker::new(&self.schema).check(&query, &graph);
         let plan = if coverage.covered {
@@ -471,9 +638,10 @@ impl BeasSystem {
         };
         Ok(PreparedQuery {
             epoch: self.schema_epoch(),
+            params,
             query,
             graph,
-            coverage,
+            coverage: Arc::new(coverage),
             plan,
         })
     }
@@ -501,8 +669,8 @@ impl BeasSystem {
         self.plan_cache.stats()
     }
 
-    /// Drop every cached plan, for callers that want the next submission of
-    /// each shape to pay for preparation again.  Never needed for
+    /// Drop every cached plan, of texts and of shapes, for callers that want
+    /// the next submission of each shape to pay for preparation again.  Never needed for
     /// correctness: schema changes move the epoch, data writes leave plans
     /// valid.
     pub fn clear_plan_cache(&self) {
@@ -519,13 +687,13 @@ impl BeasSystem {
                 covered: true,
                 deduced_bound: Some(plan.total_bound),
                 plan: Some(plan.clone()),
-                coverage: prepared.coverage.clone(),
+                coverage: CoverageResult::clone(&prepared.coverage),
             },
             None => CheckReport {
                 covered: false,
                 deduced_bound: None,
                 plan: None,
-                coverage: prepared.coverage.clone(),
+                coverage: CoverageResult::clone(&prepared.coverage),
             },
         })
     }
@@ -569,7 +737,7 @@ impl BeasSystem {
         let mut seen: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
         let mut scan_floor: u64 = 0;
         let mut rows: Vec<u64> = Vec::with_capacity(atoms.len());
-        for atom in atoms {
+        for atom in atoms.iter() {
             let count = self.db.table(&atom.table)?.row_count() as u64;
             rows.push(count);
             if seen.insert(atom.table.as_str()) {
@@ -603,7 +771,7 @@ impl BeasSystem {
         for r in &rows {
             estimate = estimate.saturating_mul((*r).max(1));
         }
-        for ((la, lc), (ra, rc)) in &prepared.graph.equalities {
+        for ((la, lc), (ra, rc)) in prepared.graph.equalities.iter() {
             let (rl, rr) = (find(&mut parent, *la), find(&mut parent, *ra));
             if rl == rr {
                 continue;
@@ -1061,13 +1229,16 @@ impl BeasSystem {
     ///
     /// Plan-cache checks (the cache is shared across forks, so entries may
     /// belong to another fork's schema epoch):
-    /// 1. the cache respects its capacity bound,
-    /// 2. cache keys are normalized SQL (normalization is idempotent),
+    /// 1. each map respects the capacity bound,
+    /// 2. text keys are normalized SQL (normalization is idempotent),
     /// 3. an entry caches a plan exactly when its coverage check passed,
-    /// 4. an entry at this system's epoch — one a lookup here would serve —
-    ///    re-prepares to the same coverage verdict and deduced bound against
-    ///    this system's catalog and access schema, however many data writes
-    ///    happened since it was cached.
+    /// 4. a text entry at this system's epoch — one a lookup here would
+    ///    serve, however it was made — equals, stage for stage, the text
+    ///    prepared on its own with its literals in place: parse → bind →
+    ///    graph → check → plan against this system's catalog and access
+    ///    schema, however many data writes happened since it was cached,
+    /// 5. a shape entry at this system's epoch equals its key prepared
+    ///    again with the values it was first prepared with.
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn check_invariants(&self) -> Result<()> {
         self.db.check_invariants()?;
@@ -1084,34 +1255,43 @@ impl BeasSystem {
                 "plan cache invariant violated: {msg}"
             )))
         };
-        let entries = self.plan_cache.entries.lock().expect("plan cache lock");
-        if entries.len() > PLAN_CACHE_CAP {
-            return fail(format!(
-                "{} entries exceed the {PLAN_CACHE_CAP}-entry cap",
-                entries.len()
-            ));
-        }
-        for (key, entry) in entries.iter() {
-            if *key != normalize_sql(key) {
-                return fail(format!("cache key {key:?} is not normalized"));
-            }
-            if entry.plan.is_some() != entry.coverage.covered {
+        let texts = self.plan_cache.texts.snapshot();
+        let shapes = self.plan_cache.shapes.snapshot();
+        for (map, entries) in [("text", &texts), ("shape", &shapes)] {
+            if entries.len() > PLAN_CACHE_CAP {
                 return fail(format!(
-                    "entry {key:?} caches a plan but its coverage check disagrees"
+                    "{} {map} entries exceed the {PLAN_CACHE_CAP}-entry cap",
+                    entries.len()
                 ));
             }
-            if entry.epoch == self.schema_epoch() {
-                let fresh = self.prepare_bound(self.bind(key)?)?;
-                if (fresh.covered(), fresh.deduced_bound())
-                    != (entry.covered(), entry.deduced_bound())
-                {
+            for (key, entry) in entries {
+                if map == "text" && *key != normalize_sql(key) {
+                    return fail(format!("cache key {key:?} is not normalized"));
+                }
+                if entry.plan.is_some() != entry.coverage.covered {
                     return fail(format!(
-                        "entry {key:?} at the current epoch caches bound {:?}, \
-                         re-preparing it gives {:?}",
-                        entry.deduced_bound(),
-                        fresh.deduced_bound()
+                        "{map} entry {key:?} caches a plan but its coverage check disagrees"
                     ));
                 }
+            }
+        }
+        let current = |entry: &PreparedQuery| entry.epoch == self.schema_epoch();
+        for (key, entry) in texts.iter().filter(|(_, e)| current(e)) {
+            let fresh = self.prepare_bound(self.bind(key)?, entry.params.clone())?;
+            if fresh != **entry {
+                return fail(format!(
+                    "text entry {key:?} at the current epoch (deduced bound {:?}) is not the \
+                     text prepared from scratch (deduced bound {:?})",
+                    entry.deduced_bound(),
+                    fresh.deduced_bound()
+                ));
+            }
+        }
+        for (key, entry) in shapes.iter().filter(|(_, e)| current(e)) {
+            if self.prepare_shape(key, &entry.params)? != **entry {
+                return fail(format!(
+                    "shape entry {key:?} at the current epoch is not its key prepared again"
+                ));
             }
         }
         Ok(())
@@ -1751,5 +1931,126 @@ mod tests {
         assert!(raised > tight);
         assert_eq!(beas.plan_cache_stats().invalidations, 2);
         beas.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_new_text_of_a_known_shape_binds_the_cached_plan_to_its_literals() {
+        let beas = system();
+        let banks = beas.execute_sql(COVERED).unwrap();
+        let shops = beas
+            .execute_sql(&COVERED.replace("'bank'", "'shop'"))
+            .unwrap();
+        let stats = beas.plan_cache_stats();
+        assert_eq!(
+            (stats.misses, stats.hits, stats.shape_hits),
+            (1, 1, 1),
+            "one shape planned, the second text instantiated from it: {stats}"
+        );
+        assert_eq!(stats.lookups(), 2);
+        // the plan is shared, the answers are each statement's own
+        assert_eq!(banks.rows, vec![vec![Value::str("east")]]);
+        assert_eq!(shops.rows, vec![vec![Value::str("west")]]);
+        assert_eq!(shops.deduced_bound, banks.deduced_bound);
+        // literal case is part of the value, not of the shape
+        let upper = beas
+            .execute_sql(&COVERED.replace("'bank'", "'BANK'"))
+            .unwrap();
+        assert!(upper.rows.is_empty());
+        assert_eq!(beas.plan_cache_stats().shape_hits, 2);
+        // a repeated text is a text hit again
+        beas.execute_sql(COVERED).unwrap();
+        let stats = beas.plan_cache_stats();
+        assert_eq!((stats.hits, stats.shape_hits, stats.misses), (3, 2, 1));
+        beas.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_instantiated_template_is_the_text_prepared_from_scratch() {
+        let beas = system();
+        let texts = [
+            COVERED.to_string(),
+            COVERED.replace("'bank'", "'shop'").replace("'r0'", "'r1'"),
+            UNCOVERED.to_string(),
+            UNCOVERED.replace("'2016-07-04'", "'2016-07-05'"),
+            "select recnum from call where pnum in ('p1', 'p2') and date = '2016-07-04' \
+             and duration between 1 and 20 order by recnum limit 3"
+                .to_string(),
+            "select recnum from call where pnum in ('p3', 'p4') and date = '2016-07-05' \
+             and duration between 5 and 9 order by recnum limit 3"
+                .to_string(),
+        ];
+        for sql in &texts {
+            let cached = beas.prepare(sql).unwrap();
+            // parse → bind → graph → check → plan with the literals in place
+            let (_, params) = lift_literals(sql).unwrap();
+            let scratch = beas.prepare_bound(beas.bind(sql).unwrap(), params).unwrap();
+            assert_eq!(*cached, scratch, "{sql}");
+        }
+        let stats = beas.plan_cache_stats();
+        assert_eq!((stats.misses, stats.shape_hits), (3, 3), "{stats}");
+    }
+
+    #[test]
+    fn in_list_length_is_part_of_the_shape_and_of_the_bound() {
+        let beas = system();
+        let two = "select recnum from call where pnum in ('p1', 'p2') and date = '2016-07-04'";
+        let three =
+            "select recnum from call where pnum in ('p1', 'p2', 'p3') and date = '2016-07-04'";
+        assert_eq!(beas.deduced_bound(two).unwrap(), Some(2 * 500));
+        assert_eq!(beas.deduced_bound(three).unwrap(), Some(3 * 500));
+        assert_eq!(beas.plan_cache_stats().misses, 2, "two shapes");
+        // so are literal types: `5`, `5.0` and `'5'` are three statements
+        for literal in ["5", "5.0", "'5'"] {
+            let sql = format!(
+                "select recnum from call where pnum = 'p1' and date = '2016-07-04' \
+                 and duration = {literal}"
+            );
+            beas.prepare(&sql).unwrap();
+        }
+        let stats = beas.plan_cache_stats();
+        assert_eq!((stats.misses, stats.shape_hits), (5, 0), "{stats}");
+    }
+
+    #[test]
+    fn clearing_the_cache_forgets_shapes_too_and_a_full_text_map_keeps_them() {
+        let beas = system();
+        beas.prepare(COVERED).unwrap();
+        beas.clear_plan_cache();
+        beas.prepare(COVERED).unwrap();
+        assert_eq!(beas.plan_cache_stats().misses, 2, "no shape left to hit");
+        // more texts of one shape than the text map holds: it is emptied on
+        // the way, the shape stays, nothing is planned again
+        for i in 0..(2 * PLAN_CACHE_CAP + 10) {
+            beas.prepare(&COVERED.replace("'bank'", &format!("'kind{i}'")))
+                .unwrap();
+        }
+        let stats = beas.plan_cache_stats();
+        assert_eq!(stats.misses, 2);
+        assert_eq!(stats.shape_hits as usize, 2 * PLAN_CACHE_CAP + 10);
+        // the first text went with a cleared map: one instantiation brings
+        // it back
+        beas.prepare(COVERED).unwrap();
+        assert_eq!(beas.plan_cache_stats().misses, 2);
+        beas.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn every_lookup_is_a_hit_or_a_miss_failed_ones_included() {
+        let beas = system();
+        assert!(beas.prepare("select 'open").is_err());
+        assert!(beas.prepare("select x from nosuch where y = 1").is_err());
+        assert!(beas.prepare("select x from nosuch where y = 2").is_err());
+        beas.prepare(COVERED).unwrap();
+        let stats = beas.plan_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 4), "{stats}");
+        // an uncastable key literal is a statement like any other to the
+        // cache; it fails when its fetch step runs, each time it runs
+        let bad_date = COVERED.replace("'2016-07-04'", "'not a date'");
+        beas.prepare(&bad_date).unwrap();
+        assert_eq!(beas.plan_cache_stats().shape_hits, 1);
+        let first = beas.execute_sql(&bad_date).unwrap_err();
+        let fresh = system().execute_sql(&bad_date).unwrap_err();
+        assert_eq!(first.kind(), fresh.kind());
+        assert_eq!(first.to_string(), fresh.to_string());
     }
 }

@@ -29,7 +29,8 @@ pub use executor::{
     PARALLEL_SCAN_MIN_ROWS,
 };
 pub use metrics::{
-    format_duration, ExecutionMetrics, MorselStats, OperatorMetrics, PlanCacheStats,
+    format_duration, ExecutionMetrics, MorselStats, OperatorMetrics, PlanCacheOutcome,
+    PlanCacheStats,
 };
 pub use plan::{JoinAlgorithm, LogicalPlan};
 pub use planner::{

@@ -96,18 +96,56 @@ impl fmt::Display for ExecutionMetrics {
     }
 }
 
+/// How one plan-cache lookup was answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanCacheOutcome {
+    /// The (normalized) text had been prepared before.
+    TextHit,
+    /// A new text of a known query shape: the shape's plan was bound to
+    /// this text's literal values.
+    ShapeHit,
+    /// A new shape: parse → bind → graph → check → plan ran.
+    Miss,
+}
+
+impl PlanCacheOutcome {
+    /// Whether the lookup was answered from the cache.
+    pub fn is_hit(&self) -> bool {
+        !matches!(self, PlanCacheOutcome::Miss)
+    }
+
+    /// `text-hit`, `shape-hit` or `miss`, as traces and logs print it.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            PlanCacheOutcome::TextHit => "text-hit",
+            PlanCacheOutcome::ShapeHit => "shape-hit",
+            PlanCacheOutcome::Miss => "miss",
+        }
+    }
+}
+
+impl fmt::Display for PlanCacheOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 /// Hit/miss counters of a keyed plan cache (the `BeasSystem` cache mapping
-/// normalized SQL to checked plans).  Lives here so every layer reports
-/// cache effectiveness through the same metrics vocabulary as the
+/// SQL texts and query shapes to checked plans).  Lives here so every layer
+/// reports cache effectiveness through the same metrics vocabulary as the
 /// per-operator breakdowns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Lookups answered from the cache.
+    /// Lookups answered from the cache, by text or by shape.
     pub hits: u64,
+    /// The part of `hits` answered by binding a cached shape to a text not
+    /// seen before.
+    pub shape_hits: u64,
     /// Lookups that had to parse → bind → check → plan from scratch.
     pub misses: u64,
-    /// Entries discarded because the database had moved past the generation
-    /// they were planned at (maintenance writes).
+    /// Lookups that found an entry prepared under another schema epoch — a
+    /// catalog or access-schema change since — and dropped it.  Data writes
+    /// invalidate nothing.
     pub invalidations: u64,
 }
 
@@ -132,8 +170,9 @@ impl fmt::Display for PlanCacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "plan cache: {} hits, {} misses, {} invalidations ({:.0}% hit rate)",
+            "plan cache: {} hits ({} by shape), {} misses, {} invalidations ({:.0}% hit rate)",
             self.hits,
+            self.shape_hits,
             self.misses,
             self.invalidations,
             self.hit_rate() * 100.0
@@ -259,13 +298,14 @@ mod tests {
         assert_eq!(empty.hit_rate(), 0.0);
         let stats = PlanCacheStats {
             hits: 3,
+            shape_hits: 2,
             misses: 1,
             invalidations: 2,
         };
         assert_eq!(stats.lookups(), 4);
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         let s = stats.to_string();
-        assert!(s.contains("3 hits"));
+        assert!(s.contains("3 hits (2 by shape)"));
         assert!(s.contains("75% hit rate"));
     }
 }

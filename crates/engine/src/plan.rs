@@ -1,6 +1,6 @@
 //! Logical query plans for the conventional (baseline) engine.
 
-use beas_common::Schema;
+use beas_common::{Schema, Value};
 use beas_sql::{BoundAggregate, BoundExpr};
 use std::fmt;
 
@@ -25,7 +25,7 @@ impl JoinAlgorithm {
 }
 
 /// A logical plan node.  Every node knows its output schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LogicalPlan {
     /// Scan a base table under an alias.
     Scan {
@@ -119,6 +119,65 @@ impl LogicalPlan {
             | LogicalPlan::Distinct { input }
             | LogicalPlan::Sort { input, .. }
             | LogicalPlan::Limit { input, .. } => input.schema(),
+        }
+    }
+
+    /// A copy of the plan with every parameter of its expressions turned
+    /// into the literal `values` holds for its slot (see
+    /// [`BoundExpr::bind_params`]).
+    pub fn bind_params(&self, values: &[Value]) -> LogicalPlan {
+        let bind = |e: &BoundExpr| e.bind_params(values);
+        let child = |p: &LogicalPlan| Box::new(p.bind_params(values));
+        match self {
+            LogicalPlan::Scan { .. } | LogicalPlan::Context { .. } => self.clone(),
+            LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
+                input: child(input),
+                predicate: bind(predicate),
+            },
+            LogicalPlan::Join {
+                left,
+                right,
+                keys,
+                algorithm,
+                schema,
+            } => LogicalPlan::Join {
+                left: child(left),
+                right: child(right),
+                keys: keys.clone(),
+                algorithm: *algorithm,
+                schema: schema.clone(),
+            },
+            LogicalPlan::Aggregate {
+                input,
+                group_by,
+                aggregates,
+                schema,
+            } => LogicalPlan::Aggregate {
+                input: child(input),
+                group_by: group_by.iter().map(bind).collect(),
+                aggregates: aggregates.iter().map(|a| a.bind_params(values)).collect(),
+                schema: schema.clone(),
+            },
+            LogicalPlan::Project {
+                input,
+                exprs,
+                schema,
+            } => LogicalPlan::Project {
+                input: child(input),
+                exprs: exprs.iter().map(|(e, n)| (bind(e), n.clone())).collect(),
+                schema: schema.clone(),
+            },
+            LogicalPlan::Distinct { input } => LogicalPlan::Distinct {
+                input: child(input),
+            },
+            LogicalPlan::Sort { input, keys } => LogicalPlan::Sort {
+                input: child(input),
+                keys: keys.clone(),
+            },
+            LogicalPlan::Limit { input, limit } => LogicalPlan::Limit {
+                input: child(input),
+                limit: *limit,
+            },
         }
     }
 

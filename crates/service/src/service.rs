@@ -5,7 +5,7 @@ use crate::metrics::{ServiceMetrics, ServiceMetricsSnapshot};
 use beas_access::MaintenanceOutcome;
 use beas_common::{BeasError, QuotaTracker, ResourceQuota, Result, Row, Schema};
 use beas_core::{BeasSystem, EvaluationMode};
-use beas_engine::PlanCacheStats;
+use beas_engine::{PlanCacheOutcome, PlanCacheStats};
 use beas_obs::{clock, MetricsRegistry, QueryTrace, SpanRecord, TraceLevel};
 use std::collections::VecDeque;
 use std::fmt;
@@ -97,6 +97,8 @@ pub struct SlowQueryRecord {
     pub sql: String,
     /// How the submission ended: the decision name, or `error: <kind>`.
     pub outcome: String,
+    /// How the plan cache answered (`None` when the submission failed).
+    pub cache: Option<PlanCacheOutcome>,
     /// End-to-end submission latency.
     pub elapsed: Duration,
     /// Snapshot generation the query ran against (0 on pre-pin failures).
@@ -223,8 +225,12 @@ pub struct SubmissionTrace {
     pub trace_id: u64,
     /// The global trace level the submission ran under.
     pub level: TraceLevel,
-    /// Whether the prepared plan came from the shared plan cache.
+    /// Whether the prepared plan came from the shared plan cache, by text
+    /// or by shape.
     pub cache_hit: bool,
+    /// How the plan cache answered: the text was cached, its query shape
+    /// was, or neither.
+    pub cache: PlanCacheOutcome,
     /// Write generation of the snapshot the query ran against.
     pub generation: u64,
     /// The deduced bound when the query is covered (what admission compared
@@ -253,7 +259,7 @@ impl SubmissionTrace {
             "trace #{} (level={}): cache {}, generation {}, {} vs budget {}, {} tuples used, {:?}\n",
             self.trace_id,
             self.level,
-            if self.cache_hit { "hit" } else { "miss" },
+            self.cache,
             self.generation,
             match (self.deduced_bound, self.estimated_tuples) {
                 (Some(b), _) => format!("deduced bound {b}"),
@@ -454,13 +460,20 @@ impl QueryService {
             "Snapshot generations currently pinned",
             m.live_generations.load(Ordering::Relaxed),
         );
-        const CACHE_HELP: &str = "Plan cache lookups by outcome";
+        const CACHE_HELP: &str = "Plan cache lookups by outcome; shape_hit is the part of hit \
+            answered by shape, invalidation the lookups that dropped a stale entry";
         registry
             .counter_with(
                 "beas_plan_cache_lookups_total",
                 CACHE_HELP,
                 &[("outcome", "hit")],
                 cache.hits,
+            )
+            .counter_with(
+                "beas_plan_cache_lookups_total",
+                CACHE_HELP,
+                &[("outcome", "shape_hit")],
+                cache.shape_hits,
             )
             .counter_with(
                 "beas_plan_cache_lookups_total",
@@ -617,6 +630,7 @@ impl Session {
             session: self.id,
             sql: sql.to_string(),
             outcome: outcome_label,
+            cache: out.as_ref().ok().map(|o| o.trace.cache),
             elapsed,
             generation: out.as_ref().map(|o| o.generation).unwrap_or(0),
         });
@@ -637,7 +651,7 @@ impl Session {
         // threaded from the admission decision into execution, and the
         // hit/miss outcome is stamped into the trace from the same lookup.
         let span = query_trace.start_span();
-        let (prepared, cache_hit) = snapshot.prepare_traced(sql)?;
+        let (prepared, cache) = snapshot.prepare_outcome(sql)?;
         query_trace.end_span("prepare", span);
         let span = query_trace.start_span();
         let decision = admit_prepared(&snapshot, &prepared, &self.quota, self.allow_approximate)?;
@@ -692,7 +706,8 @@ impl Session {
         let trace = SubmissionTrace {
             trace_id: query_trace.trace_id(),
             level,
-            cache_hit,
+            cache_hit: cache.is_hit(),
+            cache,
             generation,
             deduced_bound: prepared.deduced_bound(),
             estimated_tuples: match decision {
@@ -1093,8 +1108,15 @@ mod tests {
         let names: Vec<&str> = first.trace.spans.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["prepare", "admit", "execute"]);
         assert!(first.trace.render().contains("cache miss"));
-        assert!(second.trace.to_string().contains("cache hit"));
+        assert!(second.trace.to_string().contains("cache text-hit"));
         assert!(first.trace.render().contains("deduced bound"));
+        // a text not seen before, of the shape just planned
+        let third = session
+            .execute(&COVERED.replace("'bank'", "'shop'"))
+            .unwrap();
+        assert!(third.trace.cache_hit, "a shape hit is a hit");
+        assert_eq!(third.trace.cache, PlanCacheOutcome::ShapeHit);
+        assert!(third.trace.render().contains("cache shape-hit"));
     }
 
     #[test]
@@ -1130,7 +1152,9 @@ mod tests {
         assert_eq!(entries[0].session, session.id());
         assert_eq!(entries[0].sql, COVERED);
         assert_eq!(entries[0].outcome, "bounded");
+        assert_eq!(entries[0].cache, Some(PlanCacheOutcome::TextHit));
         assert_eq!(entries[0].generation, out.generation);
+        assert_eq!(entries[1].cache, None);
         assert_eq!(entries[1].trace_id, 0, "failed before tracing completed");
         assert!(
             entries[1].outcome.starts_with("error: "),
@@ -1149,6 +1173,7 @@ mod tests {
                 session: 0,
                 sql: String::new(),
                 outcome: "bounded".to_string(),
+                cache: Some(PlanCacheOutcome::TextHit),
                 elapsed: Duration::from_nanos(1),
                 generation: 1,
             });
@@ -1168,16 +1193,18 @@ mod tests {
         let session = service.session(ResourceQuota::unlimited());
         session.execute(COVERED).unwrap();
         session.execute(COVERED).unwrap();
+        session.execute(&COVERED.replace("'r0'", "'r1'")).unwrap();
         let registry = service.metrics_registry();
         let prom = registry.to_prometheus();
         assert!(
-            prom.contains("beas_service_decisions_total{decision=\"bounded\"} 2"),
+            prom.contains("beas_service_decisions_total{decision=\"bounded\"} 3"),
             "{prom}"
         );
         assert!(prom.contains("beas_plan_cache_lookups_total{outcome=\"miss\"} 1"));
-        assert!(prom.contains("beas_plan_cache_lookups_total{outcome=\"hit\"} 1"));
+        assert!(prom.contains("beas_plan_cache_lookups_total{outcome=\"hit\"} 2"));
+        assert!(prom.contains("beas_plan_cache_lookups_total{outcome=\"shape_hit\"} 1"));
         assert!(prom.contains("beas_service_live_generations 1"));
-        assert!(prom.contains("beas_submission_latency_ns_count 2"));
+        assert!(prom.contains("beas_submission_latency_ns_count 3"));
         assert!(prom
             .contains("beas_submission_latency_by_decision_ns_bucket{decision=\"bounded\",le=\""));
         assert!(prom.contains("# TYPE beas_submission_latency_ns histogram"));
@@ -1191,5 +1218,48 @@ mod tests {
         assert!(json.contains("\"decision\":\"bounded\""));
         assert!(json.contains("\"name\":\"beas_submission_latency_ns\""));
         assert!(json.contains("\"buckets\":["));
+    }
+
+    #[test]
+    fn admission_reads_the_shape_never_a_literal() {
+        // What admission decides on is stored once per query shape, so it
+        // must not depend on a literal's value: two parameter sets of one
+        // uncovered shape get the same estimate and decision ...
+        let service = service();
+        let session = service.session(ResourceQuota::unlimited().with_max_tuples(1_200));
+        let first = session.admit(UNCOVERED).unwrap();
+        let other = UNCOVERED
+            .replace("'bank'", "'shop'")
+            .replace("'2016-07-04'", "'1999-01-01'");
+        assert_eq!(
+            first,
+            Decision::Baseline {
+                estimated_tuples: 60
+            }
+        );
+        assert_eq!(session.admit(&other).unwrap(), first);
+        // ... while the length of an IN-list is part of the shape: two
+        // lengths of one covered template get two bounds and, under a
+        // budget between them, two decisions
+        let two = "select recnum from call where pnum in ('p1', 'p2') and date = '2016-07-04'";
+        let three =
+            "select recnum from call where pnum in ('p1', 'p2', 'p9') and date = '2016-07-04'";
+        assert_eq!(
+            session.admit(two).unwrap(),
+            Decision::Bounded {
+                deduced_bound: 1_000
+            }
+        );
+        assert_eq!(
+            session.admit(three).unwrap(),
+            Decision::Rejected {
+                reason: RejectReason::BoundExceedsQuota {
+                    deduced_bound: 1_500,
+                    max_tuples: 1_200
+                }
+            }
+        );
+        let stats = service.plan_cache_stats();
+        assert_eq!((stats.misses, stats.shape_hits), (3, 1), "{stats}");
     }
 }

@@ -185,6 +185,10 @@ pub enum Expr {
     },
     /// A literal value.
     Literal(Literal),
+    /// Parameter slot of a query shape: a literal
+    /// [`crate::lexer::lift_literals`] took out of the text, bound to a value
+    /// by [`crate::Binder::with_params`].
+    Param(usize),
     /// Binary operation.
     BinaryOp {
         /// Left operand.
@@ -296,7 +300,7 @@ impl Expr {
     pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
         match self {
             Expr::Column { table, name } => f(table.as_deref(), name),
-            Expr::Literal(_) => {}
+            Expr::Literal(_) | Expr::Param(_) => {}
             Expr::BinaryOp { left, right, .. } => {
                 left.visit_columns(f);
                 right.visit_columns(f);
@@ -334,7 +338,7 @@ impl Expr {
             Expr::Function { name, .. } => {
                 matches!(name.as_str(), "COUNT" | "SUM" | "AVG" | "MIN" | "MAX")
             }
-            Expr::Column { .. } | Expr::Literal(_) => false,
+            Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => false,
             Expr::BinaryOp { left, right, .. } => {
                 left.contains_aggregate() || right.contains_aggregate()
             }
@@ -373,6 +377,7 @@ impl fmt::Display for Expr {
                 None => write!(f, "{name}"),
             },
             Expr::Literal(l) => write!(f, "{l}"),
+            Expr::Param(slot) => write!(f, "?{slot}"),
             Expr::BinaryOp { left, op, right } => write!(f, "({left} {} {right})", op.symbol()),
             Expr::UnaryOp { op, expr } => match op {
                 UnaryOperator::Not => write!(f, "(NOT {expr})"),

@@ -5,11 +5,12 @@
 //!
 //! * the baseline engine plans scans/joins over the flat input schema;
 //! * the BEAS planner additionally inspects the per-table structure
-//!   ([`BoundTable`]) and the original AST to reason about access constraints.
+//!   ([`BoundTable`]) to reason about access constraints.
 
 use crate::ast::{Expr, Literal, SelectItem, SelectStatement};
 use crate::expr::{AggregateFunction, BoundExpr};
 use beas_common::{BeasError, DataType, Field, Result, Schema, TableSchema, Value};
+use std::sync::Arc;
 
 /// Source of table schemas; implemented by the storage catalog.
 pub trait SchemaProvider {
@@ -24,14 +25,15 @@ impl SchemaProvider for std::collections::HashMap<String, TableSchema> {
 }
 
 /// One table factor of the bound query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundTable {
     /// Alias used in the query (defaults to the table name).
     pub alias: String,
     /// Underlying base-table name.
     pub table: String,
-    /// Schema of the base table.
-    pub schema: TableSchema,
+    /// Schema of the base table, shared with everything derived from this
+    /// binding (query-graph atoms, copies of the bound query).
+    pub schema: Arc<TableSchema>,
     /// Offset of this table's first column in the flat input schema.
     pub offset: usize,
 }
@@ -44,7 +46,7 @@ impl BoundTable {
 }
 
 /// A bound aggregate call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundAggregate {
     /// The aggregate function.
     pub func: AggregateFunction,
@@ -59,13 +61,26 @@ pub struct BoundAggregate {
     pub output_type: DataType,
 }
 
+impl BoundAggregate {
+    /// The call with its argument bound to the parameter vector `values`
+    /// (see [`BoundExpr::bind_params`]).
+    pub fn bind_params(&self, values: &[Value]) -> BoundAggregate {
+        BoundAggregate {
+            func: self.func,
+            arg: self.arg.as_ref().map(|a| a.bind_params(values)),
+            distinct: self.distinct,
+            display: self.display.clone(),
+            output_type: self.output_type,
+        }
+    }
+}
+
 /// A fully bound query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoundQuery {
-    /// The original AST (kept for the BEAS coverage checker and for display).
-    pub ast: SelectStatement,
-    /// Table factors in FROM/JOIN order.
-    pub tables: Vec<BoundTable>,
+    /// Table factors in FROM/JOIN order.  They hold no literal of the
+    /// statement, so the bound queries of one query shape share them.
+    pub tables: Arc<[BoundTable]>,
     /// Flat schema: concatenation of all table schemas.
     pub input_schema: Schema,
     /// WHERE predicate plus all JOIN ON conditions, over `input_schema`.
@@ -94,6 +109,36 @@ pub struct BoundQuery {
 }
 
 impl BoundQuery {
+    /// The bound form of the statement that has this query's shape and the
+    /// parameter vector `values`: every [`BoundExpr::Param`] becomes the
+    /// literal of its slot, nothing else changes.
+    pub fn bind_params(&self, values: &[Value]) -> BoundQuery {
+        let bind = |e: &BoundExpr| e.bind_params(values);
+        BoundQuery {
+            tables: Arc::clone(&self.tables),
+            input_schema: self.input_schema.clone(),
+            filter: self.filter.as_ref().map(bind),
+            is_aggregate: self.is_aggregate,
+            group_by: self.group_by.iter().map(bind).collect(),
+            aggregates: self
+                .aggregates
+                .iter()
+                .map(|a| a.bind_params(values))
+                .collect(),
+            agg_schema: self.agg_schema.clone(),
+            output: self
+                .output
+                .iter()
+                .map(|(e, n)| (bind(e), n.clone()))
+                .collect(),
+            having: self.having.as_ref().map(bind),
+            distinct: self.distinct,
+            order_by: self.order_by.clone(),
+            limit: self.limit,
+            output_schema: self.output_schema.clone(),
+        }
+    }
+
     /// The bound table with alias `alias`, if any.
     pub fn table_by_alias(&self, alias: &str) -> Option<&BoundTable> {
         let alias = alias.to_ascii_lowercase();
@@ -104,12 +149,25 @@ impl BoundQuery {
 /// The binder.
 pub struct Binder<'a> {
     provider: &'a dyn SchemaProvider,
+    /// Values of the statement's parameter slots ([`Expr::Param`]).
+    params: &'a [Value],
 }
 
 impl<'a> Binder<'a> {
     /// Create a binder over a schema provider (usually the storage catalog).
     pub fn new(provider: &'a dyn SchemaProvider) -> Self {
-        Binder { provider }
+        Binder {
+            provider,
+            params: &[],
+        }
+    }
+
+    /// Bind the parameter slots of the statement — a query shape, see
+    /// [`crate::lexer::lift_literals`] — to `params`, in slot order.  Each
+    /// binds to a [`BoundExpr::Param`] that remembers its slot.
+    pub fn with_params(mut self, params: &'a [Value]) -> Self {
+        self.params = params;
+        self
     }
 
     /// Bind a parsed SELECT statement.
@@ -121,58 +179,59 @@ impl<'a> Binder<'a> {
         }
 
         // 1. Resolve table factors and build the flat input schema.
-        let mut tables = Vec::new();
-        let mut input_schema = Schema::empty();
-        let mut all_refs: Vec<(crate::ast::TableRef, Option<Expr>)> =
-            stmt.from.iter().map(|t| (t.clone(), None)).collect();
-        for j in &stmt.joins {
-            all_refs.push((j.table.clone(), Some(j.on.clone())));
-        }
-        let mut join_conditions = Vec::new();
-        for (tref, on) in &all_refs {
+        let mut tables: Vec<BoundTable> = Vec::new();
+        let mut fields: Vec<Field> = Vec::new();
+        let factors = stmt.from.iter().chain(stmt.joins.iter().map(|j| &j.table));
+        for tref in factors {
             let name = tref.name.to_ascii_lowercase();
             let schema = self
                 .provider
                 .table_schema(&name)
                 .ok_or_else(|| BeasError::binding(format!("unknown table {name:?}")))?;
             let alias = tref.effective_alias().to_ascii_lowercase();
-            if tables.iter().any(|t: &BoundTable| t.alias == alias) {
+            if tables.iter().any(|t| t.alias == alias) {
                 return Err(BeasError::binding(format!(
                     "duplicate table alias {alias:?}"
                 )));
             }
-            let offset = input_schema.len();
-            input_schema = input_schema.join(&Schema::from_table(&alias, &schema));
+            let offset = fields.len();
+            fields.extend(
+                schema
+                    .columns
+                    .iter()
+                    .map(|c| Field::base(alias.as_str(), c.name.as_str(), c.data_type)),
+            );
             tables.push(BoundTable {
                 alias,
                 table: name,
-                schema,
+                schema: Arc::new(schema),
                 offset,
             });
-            if let Some(on) = on {
-                join_conditions.push(on.clone());
-            }
         }
+        let input_schema = Schema::new(fields);
 
-        // 2. Bind WHERE + JOIN ON conditions.
-        let mut filter_ast = stmt.selection.clone();
-        for on in join_conditions {
-            filter_ast = Some(match filter_ast {
-                Some(f) => Expr::and(f, on),
-                None => on,
+        // 2. Bind WHERE + JOIN ON conditions: one conjunction, WHERE first.
+        let conditions = stmt
+            .selection
+            .iter()
+            .chain(stmt.joins.iter().map(|j| &j.on));
+        let mut filter = None;
+        for condition in conditions {
+            if condition.contains_aggregate() {
+                return Err(BeasError::binding(
+                    "aggregate functions are not allowed in WHERE",
+                ));
+            }
+            let bound = self.bind_scalar(condition, &input_schema)?;
+            filter = Some(match filter {
+                Some(f) => BoundExpr::Binary {
+                    op: crate::ast::BinaryOperator::And,
+                    left: Box::new(f),
+                    right: Box::new(bound),
+                },
+                None => bound,
             });
         }
-        let filter = match &filter_ast {
-            Some(e) => {
-                if e.contains_aggregate() {
-                    return Err(BeasError::binding(
-                        "aggregate functions are not allowed in WHERE",
-                    ));
-                }
-                Some(self.bind_scalar(e, &input_schema)?)
-            }
-            None => None,
-        };
 
         // 3. Expand projection wildcards.
         let mut proj_items: Vec<(Expr, Option<String>)> = Vec::new();
@@ -359,8 +418,7 @@ impl<'a> Binder<'a> {
         }
 
         Ok(BoundQuery {
-            ast: stmt.clone(),
-            tables,
+            tables: tables.into(),
             input_schema,
             filter,
             is_aggregate,
@@ -383,6 +441,7 @@ impl<'a> Binder<'a> {
                 BoundExpr::Column(schema.resolve(table.as_deref(), name)?)
             }
             Expr::Literal(l) => BoundExpr::Literal(literal_to_value(l)),
+            Expr::Param(slot) => self.bind_param(*slot)?,
             Expr::BinaryOp { left, op, right } => BoundExpr::Binary {
                 op: *op,
                 left: Box::new(self.bind_scalar(left, schema)?),
@@ -440,6 +499,13 @@ impl<'a> Binder<'a> {
         })
     }
 
+    fn bind_param(&self, slot: usize) -> Result<BoundExpr> {
+        let value = self.params.get(slot).cloned().ok_or_else(|| {
+            BeasError::binding(format!("parameter ?{slot} has no value bound to it"))
+        })?;
+        Ok(BoundExpr::Param { slot, value })
+    }
+
     /// Bind an expression appearing after aggregation (projection or HAVING of
     /// an aggregate query) over the post-aggregation schema.
     // the arguments are the five aggregation contexts resolution threads
@@ -485,6 +551,7 @@ impl<'a> Binder<'a> {
                 )))
             }
             Expr::Literal(l) => Ok(BoundExpr::Literal(literal_to_value(l))),
+            Expr::Param(slot) => self.bind_param(*slot),
             Expr::BinaryOp { left, op, right } => Ok(BoundExpr::Binary {
                 op: *op,
                 left: Box::new(self.bind_over_aggregation(
@@ -670,7 +737,7 @@ fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
                 out.push(expr.clone());
             }
         }
-        Expr::Column { .. } | Expr::Literal(_) => {}
+        Expr::Column { .. } | Expr::Literal(_) | Expr::Param(_) => {}
         Expr::BinaryOp { left, right, .. } => {
             collect_aggregates(left, out);
             collect_aggregates(right, out);
@@ -713,7 +780,9 @@ fn default_name(e: &Expr) -> String {
 pub fn infer_type(expr: &BoundExpr, schema: &Schema) -> DataType {
     match expr {
         BoundExpr::Column(i) => schema.field(*i).data_type,
-        BoundExpr::Literal(v) => v.data_type().unwrap_or(DataType::Str),
+        BoundExpr::Literal(v) | BoundExpr::Param { value: v, .. } => {
+            v.data_type().unwrap_or(DataType::Str)
+        }
         BoundExpr::Binary { op, left, right } => {
             if op.is_comparison()
                 || matches!(
@@ -926,5 +995,33 @@ mod tests {
     #[test]
     fn select_without_from_unsupported() {
         assert!(bind("SELECT 1").is_err());
+    }
+
+    #[test]
+    fn a_shape_bound_to_its_values_is_the_statement_bound_as_written() {
+        use crate::lexer::lift_literals;
+        let p = provider();
+        for sql in [
+            "SELECT region, duration FROM call WHERE pnum = '123' AND duration > 60",
+            "SELECT region FROM call WHERE pnum = 'o''brien' -- it's a comment\n AND duration = -5",
+            "SELECT region FROM call WHERE duration BETWEEN 1 AND 2 AND region IN ('a', 'b') \
+             AND date = '2016-07-04' AND duration - 5 > -(3)",
+            "SELECT c.region, 7 FROM call c JOIN business b ON b.pnum = c.pnum AND b.type = 'bank' \
+             WHERE c.duration >= 1.5 ORDER BY 1 LIMIT 5",
+            "SELECT region, COUNT(*) AS n, SUM(duration + 1) FROM call WHERE pnum LIKE '13%' \
+             GROUP BY region HAVING COUNT(*) > 2 AND SUM(duration + 1) > 10 ORDER BY n DESC",
+            "SELECT duration + 1 FROM call GROUP BY duration + 1 HAVING duration + 1 > 5",
+        ] {
+            let written = Binder::new(&p).bind(&parse_select(sql).unwrap()).unwrap();
+            let (shape, values) = lift_literals(sql).unwrap();
+            let template = Binder::new(&p)
+                .with_params(&values)
+                .bind(&parse_select(&shape).unwrap())
+                .unwrap();
+            assert_eq!(template.bind_params(&values), written, "{sql}");
+        }
+        // a slot without a value is a binding error, not a panic
+        let stmt = parse_select("select region from call where pnum = ?s").unwrap();
+        assert_eq!(Binder::new(&p).bind(&stmt).unwrap_err().kind(), "binding");
     }
 }

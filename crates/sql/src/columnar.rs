@@ -41,7 +41,7 @@ use std::cmp::Ordering;
 pub fn covers(expr: &BoundExpr, arity: usize) -> bool {
     match expr {
         BoundExpr::Column(i) => *i < arity,
-        BoundExpr::Literal(_) => true,
+        BoundExpr::Literal(_) | BoundExpr::Param { .. } => true,
         BoundExpr::Binary { left, right, .. } => covers(left, arity) && covers(right, arity),
         BoundExpr::Not(e) | BoundExpr::Negate(e) => covers(e, arity),
         BoundExpr::IsNull { expr, .. } => covers(expr, arity),
@@ -68,7 +68,7 @@ pub fn collect_columns(expr: &BoundExpr, mask: &mut [bool]) {
                 *slot = true;
             }
         }
-        BoundExpr::Literal(_) => {}
+        BoundExpr::Literal(_) | BoundExpr::Param { .. } => {}
         BoundExpr::Binary { left, right, .. } => {
             collect_columns(left, mask);
             collect_columns(right, mask);
@@ -129,7 +129,7 @@ pub fn eval_values(expr: &BoundExpr, batch: &ColumnBatch<'_>, sel: &[u32]) -> Re
             let col = column(batch, *i)?;
             Ok(sel.iter().map(|&r| col.value_owned(r as usize)).collect())
         }
-        BoundExpr::Literal(v) => Ok(vec![v.clone(); sel.len()]),
+        BoundExpr::Literal(v) | BoundExpr::Param { value: v, .. } => Ok(vec![v.clone(); sel.len()]),
         BoundExpr::Binary { op, left, right } => match op {
             BinaryOperator::Plus
             | BinaryOperator::Minus
@@ -357,7 +357,10 @@ fn logical_shape(expr: &BoundExpr) -> bool {
         | BoundExpr::InList { .. }
         | BoundExpr::Between { .. }
         | BoundExpr::Like { .. } => true,
-        BoundExpr::Column(_) | BoundExpr::Literal(_) | BoundExpr::Negate(_) => false,
+        BoundExpr::Column(_)
+        | BoundExpr::Literal(_)
+        | BoundExpr::Param { .. }
+        | BoundExpr::Negate(_) => false,
     }
 }
 
@@ -390,7 +393,7 @@ fn operand<'b, 'a>(
 ) -> Result<Vals<'b, 'a>> {
     match expr {
         BoundExpr::Column(i) => Ok(Vals::Col(column(batch, *i)?)),
-        BoundExpr::Literal(v) => Ok(Vals::Lit(v)),
+        BoundExpr::Literal(v) | BoundExpr::Param { value: v, .. } => Ok(Vals::Lit(v)),
         _ => Ok(Vals::Owned(eval_values(expr, batch, sel)?)),
     }
 }

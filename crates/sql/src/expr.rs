@@ -20,6 +20,16 @@ pub enum BoundExpr {
     Column(usize),
     /// A constant.
     Literal(Value),
+    /// Parameter `slot` of a query shape with the value bound to it.  It
+    /// evaluates like a [`BoundExpr::Literal`]; the slot is what lets a
+    /// plan prepared once per shape be re-bound to the values of another
+    /// statement ([`BoundExpr::bind_params`]).
+    Param {
+        /// Position in the shape's parameter vector.
+        slot: usize,
+        /// The value bound to it.
+        value: Value,
+    },
     /// Binary operation.
     Binary {
         /// Operator.
@@ -84,7 +94,7 @@ impl BoundExpr {
     fn collect_columns(&self, out: &mut Vec<usize>) {
         match self {
             BoundExpr::Column(i) => out.push(*i),
-            BoundExpr::Literal(_) => {}
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } => {}
             BoundExpr::Binary { left, right, .. } => {
                 left.collect_columns(out);
                 right.collect_columns(out);
@@ -119,7 +129,7 @@ impl BoundExpr {
     ) -> Option<BoundExpr> {
         Some(match self {
             BoundExpr::Column(i) => BoundExpr::Column(*mapping.get(i)?),
-            BoundExpr::Literal(v) => BoundExpr::Literal(v.clone()),
+            BoundExpr::Literal(_) | BoundExpr::Param { .. } => self.clone(),
             BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
                 op: *op,
                 left: Box::new(left.remap_columns(mapping)?),
@@ -167,11 +177,84 @@ impl BoundExpr {
     }
 }
 
+impl BoundExpr {
+    /// A copy of the expression with every leaf — column, literal or
+    /// parameter — replaced by what `leaf` makes of it.
+    pub fn map_leaves(&self, leaf: &impl Fn(&BoundExpr) -> BoundExpr) -> BoundExpr {
+        let map = |e: &BoundExpr| Box::new(e.map_leaves(leaf));
+        match self {
+            BoundExpr::Column(_) | BoundExpr::Literal(_) | BoundExpr::Param { .. } => leaf(self),
+            BoundExpr::Binary { op, left, right } => BoundExpr::Binary {
+                op: *op,
+                left: map(left),
+                right: map(right),
+            },
+            BoundExpr::Not(e) => BoundExpr::Not(map(e)),
+            BoundExpr::Negate(e) => BoundExpr::Negate(map(e)),
+            BoundExpr::IsNull { expr, negated } => BoundExpr::IsNull {
+                expr: map(expr),
+                negated: *negated,
+            },
+            BoundExpr::InList {
+                expr,
+                list,
+                negated,
+            } => BoundExpr::InList {
+                expr: map(expr),
+                list: list.iter().map(|e| e.map_leaves(leaf)).collect(),
+                negated: *negated,
+            },
+            BoundExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => BoundExpr::Between {
+                expr: map(expr),
+                low: map(low),
+                high: map(high),
+                negated: *negated,
+            },
+            BoundExpr::Like {
+                expr,
+                pattern,
+                negated,
+            } => BoundExpr::Like {
+                expr: map(expr),
+                pattern: map(pattern),
+                negated: *negated,
+            },
+        }
+    }
+
+    /// A copy of the expression with every parameter turned into the
+    /// literal `values` holds for its slot.
+    ///
+    /// Panics when a slot lies outside `values`: the caller pairs a shape
+    /// with the values lifted from a statement of that shape.
+    pub fn bind_params(&self, values: &[Value]) -> BoundExpr {
+        self.map_leaves(&|e| match e {
+            BoundExpr::Param { slot, .. } => BoundExpr::Literal(values[*slot].clone()),
+            other => other.clone(),
+        })
+    }
+
+    /// The value of a constant leaf, and the parameter slot it fills if it
+    /// fills one.
+    pub fn as_constant(&self) -> Option<(&Value, Option<usize>)> {
+        match self {
+            BoundExpr::Literal(value) => Some((value, None)),
+            BoundExpr::Param { slot, value } => Some((value, Some(*slot))),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for BoundExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoundExpr::Column(i) => write!(f, "#{i}"),
-            BoundExpr::Literal(v) => write!(f, "{v}"),
+            BoundExpr::Literal(v) | BoundExpr::Param { value: v, .. } => write!(f, "{v}"),
             BoundExpr::Binary { op, left, right } => {
                 write!(f, "({left} {} {right})", op.symbol())
             }
@@ -229,7 +312,7 @@ pub fn evaluate<R: ValueRow + ?Sized>(expr: &BoundExpr, row: &R) -> Result<Value
                 row.arity()
             ))
         }),
-        BoundExpr::Literal(v) => Ok(v.clone()),
+        BoundExpr::Literal(v) | BoundExpr::Param { value: v, .. } => Ok(v.clone()),
         BoundExpr::Binary { op, left, right } => {
             let l = evaluate(left, row)?;
             let r = evaluate(right, row)?;

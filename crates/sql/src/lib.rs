@@ -32,5 +32,5 @@ pub use ast::{
 };
 pub use binder::{Binder, BoundAggregate, BoundQuery, BoundTable, SchemaProvider};
 pub use expr::{evaluate, evaluate_predicate, Accumulator, AggregateFunction, BoundExpr};
-pub use lexer::{Keyword, Lexer, Token};
+pub use lexer::{lift_literals, Keyword, Lexer, Token};
 pub use parser::{parse_select, parse_statement, Parser};

@@ -435,6 +435,7 @@ impl Parser {
             Token::Int(i) => Ok(Expr::Literal(Literal::Int(i))),
             Token::Float(x) => Ok(Expr::Literal(Literal::Float(x))),
             Token::Str(s) => Ok(Expr::Literal(Literal::Str(s))),
+            Token::Param(slot) => Ok(Expr::Param(slot)),
             Token::Keyword(Keyword::Null) => Ok(Expr::Literal(Literal::Null)),
             Token::Keyword(Keyword::True) => Ok(Expr::Literal(Literal::Bool(true))),
             Token::Keyword(Keyword::False) => Ok(Expr::Literal(Literal::Bool(false))),

@@ -232,3 +232,131 @@ fn conformance_violations_are_detected_on_tlc_data() {
     assert!(!report.conforms());
     assert!(beas::access::require_conformance(&db, &schema).is_err());
 }
+
+/// Bounded plans that were only right for some parameter vectors: each
+/// statement below, next to a vector its old plan was right for, must answer
+/// like the conventional engine — exactly, and as an approximation under a
+/// budget that covers its deduced bound.  Returns how many stayed covered.
+fn assert_bounded_answers_match_the_engine(system: &BeasSystem, statements: &[String]) -> usize {
+    let engine = Engine::default();
+    let mut covered = 0;
+    for sql in statements {
+        let expected = sorted(distinct(engine.run(system.database(), sql).unwrap().rows));
+        let exact = system.execute_sql(sql).unwrap();
+        assert_eq!(sorted(exact.rows), expected, "{sql}");
+        if let Some(bound) = exact.deduced_bound {
+            let approx = system.approximate(sql, bound).unwrap();
+            assert_eq!(sorted(approx.rows), expected, "approximate: {sql}");
+            covered += 1;
+        }
+    }
+    covered
+}
+
+/// Two subscribers with calls, and the day of the first one's first call,
+/// as quoted literals.
+fn two_callers(system: &BeasSystem) -> (String, String, String) {
+    let call = system.database().table("call").unwrap();
+    let first = call.row(0).unwrap().clone();
+    let other = call
+        .rows_iter()
+        .find(|r| r[0] != first[0])
+        .map(|r| r[0].to_string())
+        .unwrap();
+    (first[0].to_string(), other, format!("'{}'", first[2]))
+}
+
+#[test]
+fn a_second_constant_on_an_attribute_does_not_replace_the_first() {
+    let system = tlc_system(2);
+    let statements: Vec<String> = [("nowhere", "east"), ("east", "east"), ("east", "nowhere")]
+        .iter()
+        .map(|(a, b)| {
+            format!(
+                "SELECT DISTINCT business.pnum FROM business WHERE business.region = '{a}' \
+                 AND business.type = 'bank' AND business.region = '{b}'"
+            )
+        })
+        .collect();
+    assert_eq!(
+        assert_bounded_answers_match_the_engine(&system, &statements),
+        3
+    );
+}
+
+#[test]
+fn a_second_in_list_on_an_attribute_does_not_replace_the_first() {
+    let system = tlc_system(2);
+    let (pnum, other, date) = two_callers(&system);
+    let statements: Vec<String> = [(&other, &pnum), (&pnum, &pnum), (&pnum, &other)]
+        .iter()
+        .map(|(a, b)| {
+            format!(
+                "SELECT DISTINCT recnum FROM call WHERE call.pnum IN ({a}) \
+                 AND call.pnum IN ({b}, '0') AND date = {date}"
+            )
+        })
+        .collect();
+    assert_eq!(
+        assert_bounded_answers_match_the_engine(&system, &statements),
+        3
+    );
+}
+
+#[test]
+fn a_join_is_checked_when_no_lookup_enforces_it() {
+    let system = tlc_system(2);
+    let (pnum, other, _) = two_callers(&system);
+    let statements = [
+        // both ends keyed by a constant of their own
+        format!(
+            "SELECT DISTINCT c.name, d.brand FROM customer c, device d \
+             WHERE c.pnum = d.pnum AND c.pnum = {pnum} AND d.pnum = {other}"
+        ),
+        format!(
+            "SELECT DISTINCT c.name, d.brand FROM customer c, device d \
+             WHERE c.pnum = d.pnum AND c.pnum = {pnum} AND d.pnum = {pnum}"
+        ),
+        // the second end keyed by the first end's IN-list
+        format!(
+            "SELECT DISTINCT c.pnum, d.pnum FROM customer c, device d \
+             WHERE c.pnum IN ({pnum}, {other}) AND c.pnum = d.pnum"
+        ),
+        // two fetched attributes equated with each other
+        format!(
+            "SELECT DISTINCT c.pnum FROM customer c, device d \
+             WHERE c.pnum = {pnum} AND d.pnum = {pnum} AND c.name = d.brand"
+        ),
+        format!(
+            "SELECT DISTINCT c.pnum FROM customer c, device d \
+             WHERE c.pnum = {pnum} AND d.pnum = {other} AND c.name <> d.brand"
+        ),
+    ];
+    assert_eq!(
+        assert_bounded_answers_match_the_engine(&system, &statements),
+        5
+    );
+}
+
+#[test]
+fn a_constant_on_an_attribute_no_constraint_fetches_is_not_answered_boundedly() {
+    // `call_type` is in no access constraint: a bounded plan has nothing to
+    // check the predicate against, and used to answer as if it were absent.
+    let system = tlc_system(2);
+    let (pnum, _, date) = two_callers(&system);
+    let held = system.database().table("call").unwrap().row(0).unwrap()[7].to_string();
+    let statements: Vec<String> = ["'nope'", held.as_str()]
+        .iter()
+        .map(|call_type| {
+            format!(
+                "SELECT DISTINCT recnum FROM call WHERE pnum = {pnum} AND date = {date} \
+                 AND call_type = {call_type}"
+            )
+        })
+        .collect();
+    assert_eq!(
+        assert_bounded_answers_match_the_engine(&system, &statements),
+        0
+    );
+    assert!(!system.check(&statements[0]).unwrap().covered);
+}
