@@ -11,11 +11,10 @@
 //! been found, instead of scanning and buffering the whole table.
 //!
 //! The trait is deliberately tiny (`next()` only).  This module also
-//! carries the generic adapters: `FilterStream` and `DedupeStream` back
-//! the bounded executor's fetch pipeline, while `VecStream` / `MapStream`
-//! / `TakeStream` round out the combinator set for library consumers (the
-//! engine's operators implement `RowStream` directly because each carries
-//! its own metrics counters):
+//! carries the generic adapters, a combinator set for library consumers
+//! (the engine's operators implement `RowStream` directly because each
+//! carries its own metrics counters, and the bounded executor's fetch step
+//! is a plain loop over its buckets):
 //!
 //! * [`VecStream`] — a stream over already-materialized rows (the boundary
 //!   between a blocking operator, e.g. sort or aggregation, and the pipeline
@@ -30,8 +29,8 @@
 //!   themselves, so nothing is cloned);
 //! * [`TakeStream`] — yield at most `k` rows, then stop pulling.
 //!
-//! Engine-specific operators (scans with metrics, joins, top-k sorts, the
-//! bounded `fetch`) implement [`RowStream`] directly in their own crates.
+//! Engine-specific operators (scans with metrics, joins, top-k sorts)
+//! implement [`RowStream`] directly in their own crates.
 
 use crate::error::Result;
 use crate::rowref::RowRef;

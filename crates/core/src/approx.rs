@@ -17,8 +17,8 @@
 //!   processed, a deterministic lower bound on the fraction of the exact
 //!   answer set that was explored.
 
-use crate::executor::{finalize, run_fetch, FetchConfig, KeyCap};
-use crate::graph::QueryGraph;
+use crate::executor::{finalize, FetchConfig};
+use crate::fetch::{run_fetch, KeyCap};
 use crate::plan::BoundedPlan;
 use beas_access::AccessIndexes;
 use beas_common::{BeasError, Result, Row, RowRef, Schema};
@@ -48,8 +48,8 @@ pub struct ApproximateExecution {
 pub fn execute_with_budget(
     plan: &BoundedPlan,
     query: &BoundQuery,
-    graph: &QueryGraph,
     indexes: &AccessIndexes,
+    fetch_config: FetchConfig,
     budget: u64,
 ) -> Result<ApproximateExecution> {
     if budget == 0 {
@@ -58,8 +58,8 @@ pub fn execute_with_budget(
         ));
     }
     let start = clock::now();
+    let opts = ExecOptions::default();
     let mut metrics = ExecutionMetrics::new();
-    let mut schema = Schema::empty();
     let mut rows = vec![RowRef::empty()];
     let mut tuples_accessed: u64 = 0;
     let mut coverage = 1.0f64;
@@ -80,31 +80,21 @@ pub fn execute_with_budget(
             max_keys: (step_budget / fetch.constraint.n).max(1) as usize,
             max_tuples: remaining,
         };
-        let step = run_fetch(
-            fetch,
-            query,
-            graph,
-            indexes,
-            &schema,
-            &rows,
-            FetchConfig::default(),
-            Some(cap),
-        )?;
+        let step = run_fetch(fetch, indexes, &rows, fetch_config, Some(cap))?;
         if step.keys_total > 0 {
             coverage *= step.keys_fetched as f64 / step.keys_total as f64;
         }
         tuples_accessed += step.accessed;
         metrics.record(
-            format!("ApproxFetch({})", fetch.constraint.id()),
+            step.label("ApproxFetch", fetch, opts.timing),
             step.rows.len() as u64,
             step.accessed,
             t.elapsed(),
         );
-        schema = step.schema;
         rows = step.rows;
     }
 
-    let rows = finalize(plan, rows, &mut metrics, &ExecOptions::default())?;
+    let rows = finalize(plan, rows, &mut metrics, &opts)?;
     metrics.elapsed = start.elapsed();
 
     Ok(ApproximateExecution {
@@ -120,6 +110,7 @@ pub fn execute_with_budget(
 mod tests {
     use super::*;
     use crate::checker::Checker;
+    use crate::graph::QueryGraph;
     use crate::planner::generate_bounded_plan;
     use beas_access::{build_indexes, AccessConstraint, AccessSchema};
     use beas_common::{ColumnDef, DataType, TableSchema, Value};
@@ -165,13 +156,22 @@ mod tests {
         (db, schema, indexes)
     }
 
-    fn prepare(sql: &str) -> (BoundedPlan, BoundQuery, QueryGraph, AccessIndexes) {
+    fn prepare(sql: &str) -> (BoundedPlan, BoundQuery, AccessIndexes) {
         let (db, schema, indexes) = setup();
         let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        (plan, bound, graph, indexes)
+        (plan, bound, indexes)
+    }
+
+    fn run(
+        plan: &BoundedPlan,
+        query: &BoundQuery,
+        indexes: &AccessIndexes,
+        budget: u64,
+    ) -> Result<ApproximateExecution> {
+        execute_with_budget(plan, query, indexes, FetchConfig::default(), budget)
     }
 
     const SQL: &str = "select recnum from call where \
@@ -179,8 +179,8 @@ mod tests {
 
     #[test]
     fn full_budget_gives_exact_answers() {
-        let (plan, query, graph, indexes) = prepare(SQL);
-        let result = execute_with_budget(&plan, &query, &graph, &indexes, 1_000_000).unwrap();
+        let (plan, query, indexes) = prepare(SQL);
+        let result = run(&plan, &query, &indexes, 1_000_000).unwrap();
         assert_eq!(result.rows.len(), 40); // 8 keys x 5 recnums
         assert!((result.coverage - 1.0).abs() < 1e-9);
         assert_eq!(result.tuples_accessed, 40);
@@ -188,14 +188,13 @@ mod tests {
 
     #[test]
     fn tight_budget_bounds_access_and_reports_coverage() {
-        let (plan, query, graph, indexes) = prepare(SQL);
-        let result = execute_with_budget(&plan, &query, &graph, &indexes, 20).unwrap();
+        let (plan, query, indexes) = prepare(SQL);
+        let result = run(&plan, &query, &indexes, 20).unwrap();
         assert!(result.tuples_accessed <= 20);
         assert!(result.coverage < 1.0);
         assert!(result.coverage >= 0.25); // at least budget/need of the keys
                                           // soundness: every approximate answer is a genuine answer
-        let (plan2, query2, graph2, indexes2) = prepare(SQL);
-        let exact = crate::executor::execute_bounded(&plan2, &query2, &graph2, &indexes2).unwrap();
+        let exact = crate::executor::execute_bounded(&plan, &indexes).unwrap();
         let exact_set: HashSet<Row> = exact.rows.into_iter().collect();
         for r in &result.rows {
             assert!(exact_set.contains(r));
@@ -204,7 +203,7 @@ mod tests {
 
     #[test]
     fn zero_budget_is_rejected() {
-        let (plan, query, graph, indexes) = prepare(SQL);
-        assert!(execute_with_budget(&plan, &query, &graph, &indexes, 0).is_err());
+        let (plan, query, indexes) = prepare(SQL);
+        assert!(run(&plan, &query, &indexes, 0).is_err());
     }
 }

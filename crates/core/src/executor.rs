@@ -15,18 +15,14 @@
 //! indices store distinct partial tuples, which is also why the checker only
 //! admits distinct-safe aggregates.
 
+use crate::fetch::run_fetch;
 use crate::graph::QueryGraph;
-use crate::plan::{BoundedPlan, KeySource, PlannedFetch};
+use crate::plan::BoundedPlan;
 use beas_access::AccessIndexes;
-use beas_common::{
-    default_workers, morsel_count, morsel_range, scatter, BeasError, DedupeStream, Field,
-    FilterStream, MorselQueue, QuotaTracker, Result, Row, RowRef, RowStream, Schema, Value,
-};
+use beas_common::{BeasError, QuotaTracker, Result, Row, RowRef, Schema};
 use beas_engine::{execute, ExecOptions, ExecutionMetrics, Input};
 use beas_obs::clock;
-use beas_sql::{evaluate_predicate, BoundExpr, BoundQuery};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use beas_sql::BoundQuery;
 
 /// Minimum number of distinct fetch keys before the key set is partitioned
 /// across scoped worker threads.  Spawning a scope's worth of OS threads
@@ -96,17 +92,34 @@ pub struct BoundedExecution {
 /// step accessed — fetch steps are the only place bounded plans touch base
 /// data — so an in-flight bounded query whose actual access exceeds its
 /// budget stops at the next step boundary with a structured quota error.
+///
+/// A plan's steps are resolved against the query when the plan is generated
+/// ([`crate::plan::ResolvedFetch`]), so `query` and `graph` are not read:
+/// they stay in the signature for the callers that pass them.
 pub fn execute_ctx_with<'a>(
     plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
+    _query: &BoundQuery,
+    _graph: &QueryGraph,
     indexes: &'a AccessIndexes,
     fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
 ) -> Result<CtxResult<'a>> {
+    let detail = beas_obs::trace_level().timing();
+    fetch_context(plan, indexes, fetch_config, quota, detail)
+}
+
+/// [`execute_ctx_with`]; with `detail` every `Fetch(..)` line of the metrics
+/// also says how many keys the step looked up and how its accessed tuples
+/// compare with its deduced bound.
+fn fetch_context<'a>(
+    plan: &BoundedPlan,
+    indexes: &'a AccessIndexes,
+    fetch_config: FetchConfig,
+    quota: Option<&QuotaTracker>,
+    detail: bool,
+) -> Result<CtxResult<'a>> {
     let mut metrics = ExecutionMetrics::new();
     let mut tuples_accessed: u64 = 0;
-    let mut schema = Schema::empty();
     let mut rows: Vec<RowRef<'a>> = vec![RowRef::empty()];
     let start_all = clock::now();
 
@@ -115,34 +128,25 @@ pub fn execute_ctx_with<'a>(
         if let Some(q) = quota {
             q.checkpoint()?;
         }
-        let step = run_fetch(
-            fetch,
-            query,
-            graph,
-            indexes,
-            &schema,
-            &rows,
-            fetch_config,
-            None,
-        )?;
+        let step = run_fetch(fetch, indexes, &rows, fetch_config, None)?;
         tuples_accessed += step.accessed;
         if let Some(q) = quota {
             q.charge_tuples(step.accessed)?;
         }
 
         metrics.record(
-            format!("Fetch({})", fetch.constraint.id()),
+            step.label("Fetch", fetch, detail),
             step.rows.len() as u64,
             step.accessed,
             start.elapsed(),
         );
-        schema = step.schema;
         rows = step.rows;
     }
 
     metrics.elapsed = start_all.elapsed();
+    let last = plan.fetches.last();
     Ok(CtxResult {
-        schema,
+        schema: last.map_or_else(Schema::empty, |f| f.resolved.schema.clone()),
         rows,
         metrics,
         tuples_accessed,
@@ -150,14 +154,9 @@ pub fn execute_ctx_with<'a>(
 }
 
 /// Execute a bounded plan end to end (fetch stages plus finalization).
-pub fn execute_bounded(
-    plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &AccessIndexes,
-) -> Result<BoundedExecution> {
+pub fn execute_bounded(plan: &BoundedPlan, indexes: &AccessIndexes) -> Result<BoundedExecution> {
     let opts = ExecOptions::default();
-    execute_bounded_with(plan, query, graph, indexes, FetchConfig::default(), &opts)
+    execute_bounded_with(plan, indexes, FetchConfig::default(), &opts)
 }
 
 /// [`execute_bounded`] with explicit fetch tuning and engine options: the
@@ -165,14 +164,12 @@ pub fn execute_bounded(
 /// and its deadline re-checked by the finalization's blocking operators.
 pub fn execute_bounded_with(
     plan: &BoundedPlan,
-    query: &BoundQuery,
-    graph: &QueryGraph,
     indexes: &AccessIndexes,
     fetch_config: FetchConfig,
     opts: &ExecOptions<'_>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let ctx = execute_ctx_with(plan, query, graph, indexes, fetch_config, opts.quota)?;
+    let ctx = fetch_context(plan, indexes, fetch_config, opts.quota, opts.timing)?;
     let mut metrics = ctx.metrics;
     let rows = finalize(plan, ctx.rows, &mut metrics, opts)?;
     metrics.elapsed = start.elapsed();
@@ -196,373 +193,6 @@ pub(crate) fn finalize<'a>(
     execute(finalization, Input::Context(context), metrics, opts)
 }
 
-/// Distinct fetch key → (shared X-prefix segment, borrowed index bucket).
-type FetchBuckets<'a> = HashMap<Vec<Value>, (Arc<Row>, &'a [Row])>;
-
-/// A cap on one fetch step, set by resource-bounded approximation.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KeyCap {
-    /// Only the first `max_keys` distinct keys (first-seen order) are
-    /// candidates for a lookup.
-    pub max_keys: usize,
-    /// The step stops before the first bucket that would take its accessed
-    /// tuples past this.
-    pub max_tuples: u64,
-}
-
-/// Fetch the buckets of `keys` in order, stopping before the first bucket
-/// that would take the accessed tuples past `max_tuples`; returns the
-/// buckets taken and the tuples they hold.  A key set large enough to pay
-/// for worker threads is looked up in chunks on the shared morsel driver.
-///
-/// The merge is deterministic: [`scatter`] returns the chunks in key order
-/// and each chunk's buckets are positionally aligned with its keys, so the
-/// assembled map and the access count are identical to a serial walk over
-/// the whole list regardless of thread scheduling.
-fn fetch_buckets_keyed<'a>(
-    index: &'a beas_storage::ConstraintIndex,
-    keys: &[Vec<Value>],
-    x_len: usize,
-    config: FetchConfig,
-    max_tuples: u64,
-) -> (FetchBuckets<'a>, u64) {
-    let workers = if keys.len() < config.parallel_min_keys {
-        1
-    } else {
-        default_workers(config.max_workers)
-    };
-    let chunk = keys.len().div_ceil(workers);
-    let queue = MorselQueue::new(morsel_count(keys.len(), chunk));
-    let fetched = scatter(&queue, workers, |i| {
-        let part = &keys[morsel_range(i, keys.len(), chunk)];
-        index.fetch_buckets(part.iter().map(|k| k.as_slice())).0
-    });
-    let mut buckets: FetchBuckets<'a> = HashMap::with_capacity(keys.len());
-    let mut accessed = 0u64;
-    for (key, bucket) in keys.iter().zip(fetched.results.into_iter().flatten()) {
-        if accessed + bucket.len() as u64 > max_tuples {
-            break;
-        }
-        accessed += bucket.len() as u64;
-        let x_prefix: Arc<Row> = Arc::new(key[..x_len].to_vec());
-        buckets.insert(key.clone(), (x_prefix, bucket));
-    }
-    (buckets, accessed)
-}
-
-/// The pipelined fetch join: context rows × their candidate keys × the
-/// key's bucket, yielded lazily.  Every output row is the context row's
-/// segments plus one shared `Arc` segment for the key's X-values plus one
-/// segment borrowing the partial tuple straight out of the index bucket —
-/// neither the bucket nor the context row is cloned value-by-value.
-struct FetchJoinStream<'s, 'a> {
-    rows: &'s [RowRef<'a>],
-    row_keys: &'s [Vec<Vec<Value>>],
-    buckets: &'s FetchBuckets<'a>,
-    /// Cursor: (context row, candidate key of that row, position in bucket).
-    row: usize,
-    key: usize,
-    pos: usize,
-}
-
-impl<'s, 'a> FetchJoinStream<'s, 'a> {
-    fn new(
-        rows: &'s [RowRef<'a>],
-        row_keys: &'s [Vec<Vec<Value>>],
-        buckets: &'s FetchBuckets<'a>,
-    ) -> Self {
-        FetchJoinStream {
-            rows,
-            row_keys,
-            buckets,
-            row: 0,
-            key: 0,
-            pos: 0,
-        }
-    }
-}
-
-impl<'a> RowStream<'a> for FetchJoinStream<'_, 'a> {
-    fn next(&mut self) -> Result<Option<RowRef<'a>>> {
-        while self.row < self.rows.len() {
-            let keys = &self.row_keys[self.row];
-            while self.key < keys.len() {
-                if let Some((x_prefix, bucket)) = self.buckets.get(&keys[self.key]) {
-                    if self.pos < bucket.len() {
-                        let mut out = self.rows[self.row].clone();
-                        out.push_shared(Arc::clone(x_prefix));
-                        out.push_slice(&bucket[self.pos]);
-                        self.pos += 1;
-                        return Ok(Some(out));
-                    }
-                }
-                self.key += 1;
-                self.pos = 0;
-            }
-            self.row += 1;
-            self.key = 0;
-            self.pos = 0;
-        }
-        Ok(None)
-    }
-}
-
-/// What one fetch step produced.
-pub(crate) struct FetchStepOutput<'a> {
-    /// The context schema extended with the fetched atom's attributes.
-    pub schema: Schema,
-    /// The joined, filtered, deduplicated context rows.
-    pub rows: Vec<RowRef<'a>>,
-    /// Partial tuples accessed through the constraint index.
-    pub accessed: u64,
-    /// Distinct keys the context asked for.
-    pub keys_total: usize,
-    /// How many of them were looked up: all, unless a [`KeyCap`] cut the
-    /// step short.
-    pub keys_fetched: usize,
-}
-
-/// The context schema after `fetch`: `schema` plus the X and Y attributes of
-/// the fetched atom, qualified by its alias.
-pub(crate) fn schema_after_fetch(
-    fetch: &PlannedFetch,
-    query: &BoundQuery,
-    schema: &Schema,
-) -> Result<Schema> {
-    let atom_schema = &query.tables[fetch.atom].schema;
-    let mut fields: Vec<Field> = schema.fields().to_vec();
-    for col in fetch.constraint.x.iter().chain(fetch.constraint.y.iter()) {
-        let dt = atom_schema
-            .column(col)
-            .map(|c| c.data_type)
-            .ok_or_else(|| {
-                BeasError::execution(format!(
-                    "constraint column {col:?} missing from table {:?}",
-                    atom_schema.name
-                ))
-            })?;
-        fields.push(Field::base(fetch.alias.clone(), col.clone(), dt));
-    }
-    Ok(Schema::new(fields))
-}
-
-/// Run one fetch step over the context `rows`.  With a `cap` only a prefix
-/// of the distinct keys is looked up and context rows whose key was left
-/// out join nothing — the step resource-bounded approximation runs.
-///
-/// The join → post-filter → dedupe chain runs as one pull-based pipeline
-/// over [`RowStream`] adapters: each joined row is checked against the
-/// predicates that became checkable after this fetch and deduplicated
-/// incrementally, without materializing the unfiltered join.  Evaluation
-/// errors (e.g. a type error in a predicate) propagate, matching the
-/// baseline engine, instead of silently dropping rows.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_fetch<'a>(
-    fetch: &PlannedFetch,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    indexes: &'a AccessIndexes,
-    schema: &Schema,
-    rows: &[RowRef<'a>],
-    fetch_config: FetchConfig,
-    cap: Option<KeyCap>,
-) -> Result<FetchStepOutput<'a>> {
-    let index = indexes.for_constraint(&fetch.constraint).ok_or_else(|| {
-        BeasError::execution(format!(
-            "no index built for access constraint {}",
-            fetch.constraint
-        ))
-    })?;
-
-    // The declared types of the constraint's key attributes: constants coming
-    // from SQL literals (e.g. a date written as a string) are cast to them so
-    // that index lookups compare like with like.
-    let atom_table_schema = &query.tables[fetch.atom].schema;
-    let key_types: Vec<beas_common::DataType> = fetch
-        .constraint
-        .x
-        .iter()
-        .map(|c| {
-            atom_table_schema
-                .column(c)
-                .map(|col| col.data_type)
-                .ok_or_else(|| {
-                    BeasError::execution(format!(
-                        "constraint key {c:?} missing from table {:?}",
-                        atom_table_schema.name
-                    ))
-                })
-        })
-        .collect::<Result<_>>()?;
-
-    // Candidate key values per context row (cartesian product over the key
-    // sources; IN-lists expand, constants are fixed, ctx columns read the row).
-    let mut ctx_key_indices: Vec<Option<usize>> = Vec::with_capacity(fetch.keys.len());
-    for k in &fetch.keys {
-        match k {
-            KeySource::Ctx(atom, col) => {
-                let alias = &query.tables[*atom].alias;
-                let idx = schema.index_of_origin(alias, col).ok_or_else(|| {
-                    BeasError::execution(format!(
-                        "context column {alias}.{col} missing during fetch"
-                    ))
-                })?;
-                ctx_key_indices.push(Some(idx));
-            }
-            _ => ctx_key_indices.push(None),
-        }
-    }
-
-    // Collect the distinct keys across all context rows.  Keys are
-    // canonicalized through the shared key module (`beas_common::key`) so
-    // the lookup agrees with the index and with the baseline joins on
-    // numeric/date coercion.  NULL key values are *dropped*: a fetch key
-    // stands for an equi-join (or equality predicate) on the constraint's X
-    // attributes, and SQL equality never matches NULL — whereas the index
-    // groups NULLs with DISTINCT semantics, so looking NULL up would
-    // resurrect exactly the rows the baseline joins exclude.
-    let mut distinct_keys: Vec<Vec<Value>> = Vec::new();
-    let mut seen_keys: HashSet<Vec<Value>> = HashSet::new();
-    let mut row_keys: Vec<Vec<Vec<Value>>> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut alternatives: Vec<Vec<Value>> = vec![vec![]];
-        for ((k, ctx_idx), key_type) in fetch.keys.iter().zip(&ctx_key_indices).zip(&key_types) {
-            let raw: Vec<Value> = match (k, ctx_idx) {
-                (KeySource::Constant(v), _) => vec![v.clone()],
-                (KeySource::Constants(vs), _) => vs.clone(),
-                (KeySource::Ctx(_, _), Some(i)) => {
-                    vec![row
-                        .get(*i)
-                        .cloned()
-                        .ok_or_else(|| BeasError::execution("context key out of bounds"))?]
-                }
-                (KeySource::Ctx(_, _), None) => unreachable!("resolved above"),
-            };
-            let options: Vec<Value> = raw
-                .into_iter()
-                // NULL never equals anything: it contributes no key option
-                .filter(|v| !v.is_null())
-                .map(|v| {
-                    v.cast(*key_type)
-                        .map(|c| beas_common::canonical_key_value(&c))
-                })
-                .collect::<Result<_>>()?;
-            let mut next = Vec::with_capacity(alternatives.len() * options.len());
-            for alt in &alternatives {
-                for opt in &options {
-                    let mut key = alt.clone();
-                    key.push(opt.clone());
-                    next.push(key);
-                }
-            }
-            // a key position with no non-NULL option leaves the row keyless:
-            // it joins nothing, exactly like a NULL join key in the baseline
-            alternatives = next;
-        }
-        for key in &alternatives {
-            if seen_keys.insert(key.clone()) {
-                distinct_keys.push(key.clone());
-            }
-        }
-        row_keys.push(alternatives);
-    }
-
-    // Fetch each distinct key once, counting accessed partial tuples.  The
-    // bucket slices are borrowed from the index — no copy — and the key's
-    // X-prefix becomes a single shared segment reused by every joined row.
-    // Under a cap only a prefix of the keys, in first-seen order, is fetched.
-    let x_len = fetch.constraint.x.len();
-    let (candidates, max_tuples) = match cap {
-        Some(cap) => (distinct_keys.len().min(cap.max_keys), cap.max_tuples),
-        None => (distinct_keys.len(), u64::MAX),
-    };
-    let (buckets, accessed) = fetch_buckets_keyed(
-        index,
-        &distinct_keys[..candidates],
-        x_len,
-        fetch_config,
-        max_tuples,
-    );
-
-    let new_schema = schema_after_fetch(fetch, query, schema)?;
-
-    // Join → post-filter → dedupe as one pull-based pipeline.
-    let mut filters = Vec::with_capacity(fetch.post_filters.len());
-    for pred in &fetch.post_filters {
-        filters.push(rewrite_to_ctx(pred, query, graph, &new_schema)?);
-    }
-    let mut stream: Box<dyn RowStream<'a> + '_> =
-        Box::new(FetchJoinStream::new(rows, &row_keys, &buckets));
-    for pred in filters {
-        stream = Box::new(FilterStream::new(stream, move |row: &RowRef<'a>| {
-            evaluate_predicate(&pred, row)
-        }));
-    }
-    // Set semantics: the context holds distinct rows.
-    let new_rows = DedupeStream::new(stream).collect_rows()?;
-    Ok(FetchStepOutput {
-        schema: new_schema,
-        rows: new_rows,
-        accessed,
-        keys_total: distinct_keys.len(),
-        keys_fetched: buckets.len(),
-    })
-}
-
-/// Rewrite an expression bound over the query's flat input schema so that it
-/// reads from the context relation instead.  Columns not present in the
-/// context are substituted through their equivalence class (an equated
-/// context column or a constant).
-pub fn rewrite_to_ctx(
-    expr: &BoundExpr,
-    query: &BoundQuery,
-    graph: &QueryGraph,
-    ctx_schema: &Schema,
-) -> Result<BoundExpr> {
-    let classes = graph.equivalence_classes();
-    let mut substitutions: HashMap<usize, BoundExpr> = HashMap::new();
-    for col in expr.referenced_columns() {
-        let field = query.input_schema.field(col);
-        let alias = field.table.clone().ok_or_else(|| {
-            BeasError::execution(format!("column {} has no table origin", field.name))
-        })?;
-        // direct hit
-        if let Some(i) = ctx_schema.index_of_origin(&alias, &field.name) {
-            substitutions.insert(col, BoundExpr::Column(i));
-            continue;
-        }
-        // through the equivalence class
-        let (atom_idx, _) = crate::graph::atom_of_column(query, col);
-        let term = (atom_idx, field.name.clone());
-        let mut found = None;
-        if let Some(class) = classes.iter().find(|c| c.contains(&term)) {
-            for member in class {
-                let member_alias = &query.tables[member.0].alias;
-                if let Some(i) = ctx_schema.index_of_origin(member_alias, &member.1) {
-                    found = Some(BoundExpr::Column(i));
-                    break;
-                }
-            }
-            if found.is_none() {
-                found = graph.constant_for(&term, &classes).map(|c| c.to_expr());
-            }
-        } else if let Some(c) = graph.constants.get(&term) {
-            found = Some(c.to_expr());
-        }
-        let replacement = found.ok_or_else(|| {
-            BeasError::execution(format!(
-                "column {}.{} is not available in the bounded context {ctx_schema}",
-                alias, field.name
-            ))
-        })?;
-        substitutions.insert(col, replacement);
-    }
-    Ok(expr.map_leaves(&|leaf| match leaf {
-        BoundExpr::Column(i) => substitutions[i].clone(),
-        constant => constant.clone(),
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -570,7 +200,7 @@ mod tests {
     use crate::graph::QueryGraph;
     use crate::planner::generate_bounded_plan;
     use beas_access::{build_indexes, AccessConstraint, AccessSchema};
-    use beas_common::{ColumnDef, DataType, TableSchema};
+    use beas_common::{ColumnDef, DataType, TableSchema, Value};
     use beas_sql::{parse_select, Binder};
     use beas_storage::Database;
 
@@ -685,7 +315,7 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        execute_bounded(&plan, &bound, &graph, &indexes).unwrap()
+        execute_bounded(&plan, &indexes).unwrap()
     }
 
     #[test]
@@ -771,7 +401,7 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
         let empty = AccessIndexes::new();
-        assert!(execute_bounded(&plan, &bound, &graph, &empty).is_err());
+        assert!(execute_bounded(&plan, &empty).is_err());
     }
 
     #[test]
@@ -788,7 +418,7 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes);
+        let bounded = execute_bounded(&plan, &indexes);
         let baseline = beas_engine::Engine::default().run(&db, sql);
         let bounded_err = bounded.expect_err("bounded must propagate the type error");
         let baseline_err = baseline.expect_err("baseline must propagate the type error");
@@ -819,10 +449,15 @@ mod tests {
             let coverage = Checker::new(&schema).check(&bound, &graph);
             assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
             let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-            let exact = execute_bounded(&plan, &bound, &graph, &indexes)
-                .expect_err("exact execution must fail");
-            let approx = crate::approx::execute_with_budget(&plan, &bound, &graph, &indexes, 1_000)
-                .expect_err("approximation must fail, not answer");
+            let exact = execute_bounded(&plan, &indexes).expect_err("exact execution must fail");
+            let approx = crate::approx::execute_with_budget(
+                &plan,
+                &bound,
+                &indexes,
+                FetchConfig::default(),
+                1_000,
+            )
+            .expect_err("approximation must fail, not answer");
             assert_eq!(approx.kind(), exact.kind(), "{sql}");
             assert_eq!(exact.kind(), kind, "{sql}");
         }
@@ -872,7 +507,7 @@ mod tests {
             let coverage = Checker::new(&schema).check(&bound, &graph);
             assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
             let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-            execute_bounded(&plan, &bound, &graph, &indexes).unwrap()
+            execute_bounded(&plan, &indexes).unwrap()
         };
         let base = "select recnum, region from call where pnum = 'b1' order by region desc";
         let full = run(base).rows;
@@ -944,7 +579,7 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded(&plan, &indexes).unwrap();
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let canon = |mut rows: Vec<Row>| {
             rows.sort_by(|a, b| a[0].total_cmp(&b[0]));
@@ -1020,7 +655,7 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded(&plan, &indexes).unwrap();
         assert_eq!(bounded.rows.len(), n * 2);
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let canon = |mut rows: Vec<Row>| {
@@ -1050,7 +685,7 @@ mod tests {
             ..ExecOptions::default()
         };
         let fetch = FetchConfig::default();
-        let ok = execute_bounded_with(&plan, &bound, &graph, &indexes, fetch, &charged).unwrap();
+        let ok = execute_bounded_with(&plan, &indexes, fetch, &charged).unwrap();
         assert_eq!(tracker.tuples_used(), ok.tuples_accessed);
         // a 1-tuple quota trips on the 2-tuple fetch with a structured error
         let tight = beas_common::ResourceQuota::unlimited()
@@ -1060,7 +695,7 @@ mod tests {
             quota: Some(&tight),
             ..ExecOptions::default()
         };
-        let err = execute_bounded_with(&plan, &bound, &graph, &indexes, fetch, &charged)
+        let err = execute_bounded_with(&plan, &indexes, fetch, &charged)
             .expect_err("fetch exceeds the 1-tuple quota");
         assert_eq!(err.kind(), "quota_exceeded");
         assert!(tight.is_tripped());
@@ -1078,14 +713,13 @@ mod tests {
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let serial = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let serial = execute_bounded(&plan, &indexes).unwrap();
         let forced = FetchConfig {
             parallel_min_keys: 1,
             max_workers: 4,
         };
         let opts = ExecOptions::default();
-        let parallel =
-            execute_bounded_with(&plan, &bound, &graph, &indexes, forced, &opts).unwrap();
+        let parallel = execute_bounded_with(&plan, &indexes, forced, &opts).unwrap();
         assert_eq!(serial.rows, parallel.rows);
         assert_eq!(serial.tuples_accessed, parallel.tuples_accessed);
     }
@@ -1100,7 +734,7 @@ mod tests {
         let graph = QueryGraph::build(&bound).unwrap();
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let bounded = execute_bounded(&plan, &bound, &graph, &indexes).unwrap();
+        let bounded = execute_bounded(&plan, &indexes).unwrap();
         let baseline = beas_engine::Engine::default().run(&db, sql).unwrap();
         let mut a = bounded.rows.clone();
         let mut b = baseline.rows.clone();

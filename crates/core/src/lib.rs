@@ -12,9 +12,10 @@
 //!   Feasibility Theorem's effective syntax;
 //! * [`planner`] / [`plan`] — the **BE Plan Generator**: bounded plans built
 //!   from `fetch` operations, each annotated with a deduced bound;
-//! * [`executor`] — the **BE Plan Executor**: runs `fetch` against the
-//!   constraint indices and hands the bounded intermediates to the engine's
-//!   operators for finalization;
+//! * [`executor`] — the **BE Plan Executor**: runs the plan's `fetch` steps
+//!   (`fetch.rs`: keys, probes, join) against the constraint indices and
+//!   hands the bounded intermediates to the engine's operators for
+//!   finalization;
 //! * [`partial`] — the **BE Plan Optimizer**: partially bounded plans for
 //!   queries that are not covered;
 //! * [`approx`] — resource-bounded approximation: the same fetch steps
@@ -27,6 +28,7 @@ pub mod analyzer;
 pub mod approx;
 pub mod checker;
 pub mod executor;
+mod fetch;
 pub mod graph;
 pub mod partial;
 pub mod plan;
@@ -45,6 +47,6 @@ pub use partial::{
     execute_partially_bounded, execute_partially_bounded_with, PartialExecution, PartialOptions,
     ReductionSaving, DEFAULT_REDUCTION_MIN_SAVINGS,
 };
-pub use plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch};
+pub use plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch, ResolvedFetch};
 pub use planner::{generate_bounded_plan, generate_plan_for_steps};
 pub use system::{BeasSystem, CheckReport, EvaluationMode, ExecutionOutcome, PreparedQuery};

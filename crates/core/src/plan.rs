@@ -10,10 +10,11 @@
 //! show.
 
 use beas_access::AccessConstraint;
-use beas_common::{Result, Value};
+use beas_common::{Result, Schema, Value};
 use beas_engine::LogicalPlan;
 use beas_sql::BoundExpr;
 use std::fmt;
+use std::sync::Arc;
 
 /// Where the key values of a fetch come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,6 +54,26 @@ pub struct KeyParam {
     pub slot: usize,
 }
 
+/// What executing a fetch step needs that depends on the query *shape*
+/// alone — no literal's value is in here — so the planner derives it once
+/// and every statement bound from a shape's plan shares it.
+#[derive(Debug, PartialEq)]
+pub struct ResolvedFetch {
+    /// Id of the constraint: the key of its index in
+    /// [`beas_access::AccessIndexes`], and the step's name in the execution
+    /// metrics (`Fetch(<id>)`).
+    pub index_id: String,
+    /// For each [`KeySource::Ctx`] of [`PlannedFetch::keys`], the context
+    /// position it reads; `None` for constants.
+    pub key_positions: Vec<Option<usize>>,
+    /// The context schema after the step: the context before it, then the
+    /// `X` and the `Y` attributes of the fetched atom under its alias.  The
+    /// `X` fields double as the step's cast table: a key value is cast to
+    /// its attribute's declared type before the lookup, so that a date
+    /// written as a string finds the bucket of that date.
+    pub schema: Schema,
+}
+
 /// One planned fetch operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannedFetch {
@@ -71,10 +92,13 @@ pub struct PlannedFetch {
     pub key_params: Vec<KeyParam>,
     /// Upper bound on the number of (partial) tuples this fetch accesses.
     pub bound: u64,
-    /// Predicates that become checkable right after this fetch (single-atom
-    /// selections and equality with constants on fetched attributes), bound
-    /// over the query's flat input schema.
+    /// Predicates that become checkable right after this fetch (selections
+    /// on the fetched atom, and equalities on fetched attributes that no
+    /// lookup enforces), bound to the positions of
+    /// [`ResolvedFetch::schema`].
     pub post_filters: Vec<BoundExpr>,
+    /// Positions, types and names resolved by the planner.
+    pub resolved: Arc<ResolvedFetch>,
 }
 
 impl PlannedFetch {
@@ -100,6 +124,7 @@ impl PlannedFetch {
                 .iter()
                 .map(|p| p.bind_params(values))
                 .collect(),
+            resolved: Arc::clone(&self.resolved),
         }
     }
 }
@@ -203,7 +228,6 @@ mod tests {
             fetches: vec![PlannedFetch {
                 atom: 2,
                 alias: "business".into(),
-                constraint: psi3,
                 keys: vec![
                     KeySource::Constant(Value::str("t0")),
                     KeySource::Constant(Value::str("r0")),
@@ -211,12 +235,18 @@ mod tests {
                 key_params: vec![],
                 bound: 2000,
                 post_filters: vec![],
+                resolved: Arc::new(ResolvedFetch {
+                    index_id: psi3.id(),
+                    key_positions: vec![None, None],
+                    schema: Schema::empty(),
+                }),
+                constraint: psi3,
             }],
             total_bound: 2000,
             constraints_used: 1,
             finalization: Ok(LogicalPlan::Distinct {
                 input: Box::new(LogicalPlan::Context {
-                    schema: beas_common::Schema::empty(),
+                    schema: Schema::empty(),
                 }),
             }),
         }

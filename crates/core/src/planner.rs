@@ -2,14 +2,15 @@
 //! [`BoundedPlan`] with per-fetch bound annotations.
 
 use crate::checker::CoverageResult;
-use crate::executor::{rewrite_to_ctx, schema_after_fetch};
 use crate::graph::{Constant, QueryGraph, Term};
-use crate::plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch};
-use beas_common::{BeasError, Result, Schema};
+use crate::plan::{BoundedPlan, KeyParam, KeySource, PlannedFetch, ResolvedFetch};
+use beas_access::AccessConstraint;
+use beas_common::{BeasError, Field, Result, Schema, TableSchema};
 use beas_engine::{finalize_plan, LogicalPlan};
 use beas_sql::ast::BinaryOperator;
 use beas_sql::{BoundExpr, BoundQuery};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Generate a bounded plan from a coverage result.
 ///
@@ -46,6 +47,8 @@ pub fn generate_plan_for_steps(
     let mut anchors: Vec<Option<(Term, bool)>> = vec![None; classes.len()];
     let mut assigned_filters = vec![false; graph.filters.len()];
     let mut fetches = Vec::new();
+    // The context relation's schema as the steps planned so far leave it.
+    let mut schema = Schema::empty();
 
     // The seed bound accounts for IN-list expansions used as keys.
     let seed_bound: u64 = graph
@@ -201,6 +204,36 @@ pub fn generate_plan_for_steps(
         total_bound = total_bound.saturating_add(fetch_bound);
         ctx_bound = fetch_bound;
 
+        // Resolve the step against the context it runs on — where its keys
+        // are, what the context looks like afterwards, its predicates over
+        // that — so that executing it looks nothing up by name.
+        let key_positions = keys
+            .iter()
+            .map(|k| match k {
+                KeySource::Ctx(atom, col) => {
+                    let alias = &query.tables[*atom].alias;
+                    let position = schema.index_of_origin(alias, col).ok_or_else(|| {
+                        BeasError::plan(format!(
+                            "internal error: context column {alias}.{col} is not \
+                             fetched when the step keyed by it fires"
+                        ))
+                    })?;
+                    Ok(Some(position))
+                }
+                KeySource::Constant(_) | KeySource::Constants(_) => Ok(None),
+            })
+            .collect::<Result<Vec<_>>>()?;
+        schema = schema_after_fetch(
+            &step.constraint,
+            &atom.alias,
+            &query.tables[step.atom].schema,
+            &schema,
+        )?;
+        let post_filters = post_filters
+            .iter()
+            .map(|p| rewrite_to_ctx(p, query, graph, &classes, &schema))
+            .collect::<Result<Vec<_>>>()?;
+
         fetches.push(PlannedFetch {
             atom: step.atom,
             alias: atom.alias.clone(),
@@ -209,6 +242,11 @@ pub fn generate_plan_for_steps(
             key_params,
             bound: fetch_bound,
             post_filters,
+            resolved: Arc::new(ResolvedFetch {
+                index_id: step.constraint.id(),
+                key_positions,
+                schema: schema.clone(),
+            }),
         });
     }
 
@@ -230,15 +268,14 @@ pub fn generate_plan_for_steps(
         .cloned()
         .collect();
 
-    let constraints_used = {
-        let mut ids: Vec<String> = fetches.iter().map(|f| f.constraint.id()).collect();
-        ids.sort();
-        ids.dedup();
-        ids.len()
-    };
+    let constraints_used = fetches
+        .iter()
+        .map(|f| f.resolved.index_id.as_str())
+        .collect::<BTreeSet<_>>()
+        .len();
 
     Ok(BoundedPlan {
-        finalization: finalization_plan(query, graph, &fetches, &residual_predicates),
+        finalization: finalization_plan(query, graph, &classes, &schema, &residual_predicates),
         fetches,
         total_bound,
         constraints_used,
@@ -253,35 +290,107 @@ fn in_context(query: &BoundQuery, ctx_columns: &BTreeSet<Term>, predicate: &Boun
     })
 }
 
-/// The plan that turns the context `fetches` leave behind into the answer:
-/// one filter per residual predicate (applied in turn, as the fetch steps
-/// apply their post-filters), then the nodes the baseline planner stacks on
-/// its join tree — every expression rebound to the context once, here.
-/// Bounded answers have set semantics, so a non-aggregate projection is
-/// always deduplicated.
+/// The plan that turns the context the fetch steps leave behind (`schema`)
+/// into the answer: one filter per residual predicate (applied in turn, as
+/// the fetch steps apply their post-filters), then the nodes the baseline
+/// planner stacks on its join tree — every expression rebound to the context
+/// once, here.  Bounded answers have set semantics, so a non-aggregate
+/// projection is always deduplicated.
 fn finalization_plan(
     query: &BoundQuery,
     graph: &QueryGraph,
-    fetches: &[PlannedFetch],
+    classes: &[BTreeSet<Term>],
+    schema: &Schema,
     residual_predicates: &[BoundExpr],
 ) -> Result<LogicalPlan> {
-    let mut schema = Schema::empty();
-    for fetch in fetches {
-        schema = schema_after_fetch(fetch, query, &schema)?;
-    }
     let mut plan = LogicalPlan::Context {
         schema: schema.clone(),
     };
     for pred in residual_predicates {
         plan = LogicalPlan::Filter {
             input: Box::new(plan),
-            predicate: rewrite_to_ctx(pred, query, graph, &schema)?,
+            predicate: rewrite_to_ctx(pred, query, graph, classes, schema)?,
         };
     }
     let distinct = query.distinct || !query.is_aggregate;
     finalize_plan(query, plan, distinct, |e| {
-        rewrite_to_ctx(e, query, graph, &schema)
+        rewrite_to_ctx(e, query, graph, classes, schema)
     })
+}
+
+/// The context schema after a fetch through `constraint`: `schema` plus the
+/// X and Y attributes of the fetched atom, qualified by its alias.
+fn schema_after_fetch(
+    constraint: &AccessConstraint,
+    alias: &str,
+    table: &TableSchema,
+    schema: &Schema,
+) -> Result<Schema> {
+    let mut fields: Vec<Field> = schema.fields().to_vec();
+    for col in constraint.x.iter().chain(constraint.y.iter()) {
+        let dt = table.column(col).map(|c| c.data_type).ok_or_else(|| {
+            BeasError::execution(format!(
+                "constraint column {col:?} missing from table {:?}",
+                table.name
+            ))
+        })?;
+        fields.push(Field::base(alias, col.clone(), dt));
+    }
+    Ok(Schema::new(fields))
+}
+
+/// Rewrite an expression bound over the query's flat input schema so that it
+/// reads from the context relation instead.  Columns not present in the
+/// context are substituted through their equivalence class (an equated
+/// context column or a constant); `classes` are the graph's.
+fn rewrite_to_ctx(
+    expr: &BoundExpr,
+    query: &BoundQuery,
+    graph: &QueryGraph,
+    classes: &[BTreeSet<Term>],
+    ctx_schema: &Schema,
+) -> Result<BoundExpr> {
+    let mut substitutions: HashMap<usize, BoundExpr> = HashMap::new();
+    for col in expr.referenced_columns() {
+        let field = query.input_schema.field(col);
+        let alias = field.table.clone().ok_or_else(|| {
+            BeasError::execution(format!("column {} has no table origin", field.name))
+        })?;
+        // direct hit
+        if let Some(i) = ctx_schema.index_of_origin(&alias, &field.name) {
+            substitutions.insert(col, BoundExpr::Column(i));
+            continue;
+        }
+        // through the equivalence class
+        let (atom_idx, _) = crate::graph::atom_of_column(query, col);
+        let term = (atom_idx, field.name.clone());
+        let mut found = None;
+        if let Some(class) = classes.iter().find(|c| c.contains(&term)) {
+            for member in class {
+                let member_alias = &query.tables[member.0].alias;
+                if let Some(i) = ctx_schema.index_of_origin(member_alias, &member.1) {
+                    found = Some(BoundExpr::Column(i));
+                    break;
+                }
+            }
+            if found.is_none() {
+                found = graph.constant_for(&term, classes).map(|c| c.to_expr());
+            }
+        } else if let Some(c) = graph.constants.get(&term) {
+            found = Some(c.to_expr());
+        }
+        let replacement = found.ok_or_else(|| {
+            BeasError::execution(format!(
+                "column {}.{} is not available in the bounded context {ctx_schema}",
+                alias, field.name
+            ))
+        })?;
+        substitutions.insert(col, replacement);
+    }
+    Ok(expr.map_leaves(&|leaf| match leaf {
+        BoundExpr::Column(i) => substitutions[i].clone(),
+        constant => constant.clone(),
+    }))
 }
 
 /// Where the value of a key attribute comes from, before it is copied
@@ -556,13 +665,15 @@ mod tests {
         )
         .unwrap();
         // call (N = 500) is fetched first, by its own constant; business
-        // then brings in the other end, and the comparison with it
+        // then brings in the other end, and the comparison with it: context
+        // position 6 (business.pnum, after call's four and business's two
+        // key attributes) against position 0 (call.pnum)
         assert_eq!(plan.fetches[0].alias, "call");
         assert_eq!(
             plan.fetches[0].keys[0],
             KeySource::Constant(Value::str("b"))
         );
-        assert_eq!(join_checks(&plan, 1), vec!["(#4 = #0)"]);
+        assert_eq!(join_checks(&plan, 1), vec!["(#6 = #0)"]);
 
         // An end keyed by an IN-list takes every listed value for every
         // context row, whatever the row's own value is.
@@ -607,6 +718,120 @@ mod tests {
             .iter()
             .all(|f| f.keys[0] == KeySource::Constant(Value::str("b"))));
         assert!(join_checks(&plan, 0).is_empty() && join_checks(&plan, 1).is_empty());
+    }
+
+    /// What the planner stored for each step against what the step-by-step
+    /// derivation gives: the schema by [`schema_after_fetch`] from the
+    /// schema before, the key positions by name lookup in it, and each of
+    /// `expected[step]` — predicates over the query's input schema — by
+    /// [`rewrite_to_ctx`].
+    fn assert_resolved(sql: &str, expected: &[Vec<BoundExpr>]) {
+        let db = db();
+        let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
+        let graph = QueryGraph::build(&bound).unwrap();
+        let coverage = Checker::new(&a0()).check(&bound, &graph);
+        let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
+        let classes = graph.equivalence_classes();
+        assert_eq!(plan.fetches.len(), expected.len(), "{sql}");
+        let mut schema = Schema::empty();
+        for (i, fetch) in plan.fetches.iter().enumerate() {
+            let positions: Vec<Option<usize>> = fetch
+                .keys
+                .iter()
+                .map(|k| match k {
+                    KeySource::Ctx(atom, col) => Some(
+                        schema
+                            .index_of_origin(&bound.tables[*atom].alias, col)
+                            .unwrap(),
+                    ),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(fetch.resolved.key_positions, positions, "{sql} step {i}");
+            let table = &bound.tables[fetch.atom].schema;
+            schema = schema_after_fetch(&fetch.constraint, &fetch.alias, table, &schema).unwrap();
+            assert_eq!(fetch.resolved.schema, schema, "{sql} step {i}");
+            let filters: Vec<BoundExpr> = expected[i]
+                .iter()
+                .map(|p| rewrite_to_ctx(p, &bound, &graph, &classes, &schema).unwrap())
+                .collect();
+            assert_eq!(fetch.post_filters, filters, "{sql} step {i}");
+            assert_eq!(fetch.resolved.index_id, fetch.constraint.id());
+        }
+    }
+
+    fn column(i: usize) -> Box<BoundExpr> {
+        Box::new(BoundExpr::Column(i))
+    }
+
+    fn literal(v: Value) -> Box<BoundExpr> {
+        Box::new(BoundExpr::Literal(v))
+    }
+
+    fn compare(op: BinaryOperator, left: Box<BoundExpr>, right: Box<BoundExpr>) -> BoundExpr {
+        BoundExpr::Binary { op, left, right }
+    }
+
+    #[test]
+    fn steps_are_resolved_as_the_step_by_step_derivation_resolves_them() {
+        use BinaryOperator::{Eq, GtEq, LtEq};
+        // input schema: call 0..4 (pnum recnum date region), package 4..9
+        // (pnum pid start_month end_month year), business 9..12 (pnum type
+        // region)
+
+        // Example 2 (Q1): every predicate reads the atom its step fetches
+        assert_resolved(
+            example2_sql(),
+            &[
+                vec![
+                    compare(Eq, column(10), literal(Value::str("t0"))),
+                    compare(Eq, column(11), literal(Value::str("r0"))),
+                ],
+                vec![
+                    compare(Eq, column(8), literal(Value::Int(2016))),
+                    compare(Eq, column(5), literal(Value::Int(3))),
+                    compare(LtEq, column(6), literal(Value::Int(7))),
+                    compare(GtEq, column(7), literal(Value::Int(7))),
+                ],
+                vec![compare(Eq, column(2), literal(Value::str("2016-07-04")))],
+            ],
+        );
+
+        // an IN-list as a key source is checked again after the fetch
+        assert_resolved(
+            "select recnum from call where pnum in ('a', 'b') and date = '2016-07-04'",
+            &[vec![
+                BoundExpr::InList {
+                    expr: column(0),
+                    list: vec![
+                        BoundExpr::Literal(Value::str("a")),
+                        BoundExpr::Literal(Value::str("b")),
+                    ],
+                    negated: false,
+                },
+                compare(Eq, column(2), literal(Value::str("2016-07-04"))),
+            ]],
+        );
+
+        // an equality no lookup enforces ties the second step to the first
+        assert_resolved(
+            "select call.region from call, business \
+             where business.type = 't0' and business.region = 'r0' \
+             and business.pnum = call.pnum and business.pnum = 'a' \
+             and call.pnum = 'b' and call.date = '2016-07-04'",
+            &[
+                vec![
+                    compare(Eq, column(0), literal(Value::str("b"))),
+                    compare(Eq, column(2), literal(Value::str("2016-07-04"))),
+                ],
+                vec![
+                    compare(Eq, column(5), literal(Value::str("t0"))),
+                    compare(Eq, column(6), literal(Value::str("r0"))),
+                    compare(Eq, column(4), literal(Value::str("a"))),
+                    compare(Eq, column(4), column(0)),
+                ],
+            ],
+        );
     }
 
     #[test]

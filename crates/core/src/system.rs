@@ -897,8 +897,7 @@ impl BeasSystem {
         let coverage = &prepared.coverage;
         let quota = opts.quota;
         if let Some(plan) = &prepared.plan {
-            let result =
-                execute_bounded_with(plan, query, graph, &self.indexes, self.fetch_config, opts)?;
+            let result = execute_bounded_with(plan, &self.indexes, self.fetch_config, opts)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
                 schema: query.output_schema.clone(),
@@ -1129,7 +1128,7 @@ impl BeasSystem {
                 &generated
             }
         };
-        execute_with_budget(plan, query, graph, &self.indexes, budget)
+        execute_with_budget(plan, query, &self.indexes, self.fetch_config, budget)
     }
 
     /// EXPLAIN ANALYZE through the whole system: execute `sql` through
@@ -1575,7 +1574,9 @@ mod tests {
         assert!(covered.access_reduction() > 1.0);
         let text = covered.render();
         assert!(text.contains("evaluation: bounded"));
-        assert!(text.contains("Fetch("));
+        // every fetch step: keys looked up, tuples accessed beside its bound
+        assert!(text.contains("Fetch(business(type,region->pnum)) keys 1/1, "));
+        assert!(text.contains(" of ≤ 2000 tuples"), "{text}");
         assert!(text.contains("EXPLAIN ANALYZE"));
         assert!(text.contains("SeqScan(call"));
         // The baseline tree matches the baseline plan shape.

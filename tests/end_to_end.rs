@@ -360,3 +360,57 @@ fn a_constant_on_an_attribute_no_constraint_fetches_is_not_answered_boundedly() 
     );
     assert!(!system.check(&statements[0]).unwrap().covered);
 }
+
+#[test]
+fn a_key_alternative_given_twice_is_one_key() {
+    // `IN ('a', 'a')`, and `IN (5, 5.0)` on an integer key (equal once cast
+    // and canonical), name one lookup key.  Taken as two they give the
+    // context row the same bucket twice; the fetch step does not
+    // deduplicate its output, so every joined row would be there twice.
+    let system = tlc_system(2);
+    let (pnum, _, date) = two_callers(&system);
+    let pid = system
+        .database()
+        .table("plan_catalog")
+        .unwrap()
+        .row(0)
+        .unwrap()[0]
+        .to_string();
+    let statements = [
+        (
+            format!("SELECT recnum, region FROM call WHERE pnum = {pnum} AND date = {date}"),
+            format!(
+                "SELECT recnum, region FROM call WHERE pnum IN ({pnum}, {pnum}) AND date = {date}"
+            ),
+        ),
+        (
+            format!("SELECT plan_name, tier FROM plan_catalog WHERE pid = {pid}"),
+            format!("SELECT plan_name, tier FROM plan_catalog WHERE pid IN ({pid}, {pid}.0)"),
+        ),
+    ];
+    let engine = Engine::default();
+    for (once, twice) in &statements {
+        let expected = sorted(distinct(engine.run(system.database(), twice).unwrap().rows));
+        assert!(!expected.is_empty(), "{twice}");
+        // what the one key fetches
+        let single = system.execute_sql(once).unwrap();
+        let exact = system.execute_sql(twice).unwrap();
+        let approx = system
+            .approximate(twice, exact.deduced_bound.unwrap())
+            .unwrap();
+        for (what, rows, tuples, metrics) in [
+            ("exact", exact.rows, exact.tuples_accessed, exact.metrics),
+            (
+                "approximate",
+                approx.rows,
+                approx.tuples_accessed,
+                approx.metrics,
+            ),
+        ] {
+            assert_eq!(sorted(rows), expected, "{what}: {twice}");
+            assert_eq!(tuples, single.tuples_accessed, "{what}: {twice}");
+            // the context after the fetch step: each joined row once
+            assert_eq!(metrics.operators[0].rows_out, tuples, "{what}: {twice}");
+        }
+    }
+}
