@@ -7,42 +7,9 @@
 use beas_access::{check_conformance, discover, DiscoveryConfig};
 use beas_bench::BenchEnv;
 use beas_common::Value;
-use beas_engine::{Engine, ExecProfile, OptimizerProfile, ParallelConfig};
+use beas_engine::{Engine, ExecProfile, OptimizerProfile};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-/// A single wide table big enough to split into several morsels
-/// (4 × `MORSEL_ROWS` at the default granularity), for the parallel-scan
-/// scaling benches.
-fn parallel_scan_db(rows: i64) -> beas_storage::Database {
-    use beas_common::{ColumnDef, DataType, TableSchema};
-    let mut db = beas_storage::Database::new();
-    db.create_table(
-        TableSchema::new(
-            "big",
-            vec![
-                ColumnDef::new("id", DataType::Int),
-                ColumnDef::new("v", DataType::Int),
-                ColumnDef::new("tag", DataType::Str),
-            ],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    let tags = ["north", "east", "south", "west"];
-    for i in 0..rows {
-        db.insert(
-            "big",
-            vec![
-                Value::Int(i),
-                Value::Int((i * 31) % 1000),
-                Value::str(tags[(i % 4) as usize]),
-            ],
-        )
-        .unwrap();
-    }
-    db
-}
 
 fn micro(c: &mut Criterion) {
     let env = BenchEnv::prepare(2);
@@ -202,10 +169,9 @@ fn micro(c: &mut Criterion) {
     // Service-level paths: admission control (a cache-served coverage
     // check plus the routing decision) and N concurrent sessions sharing
     // one QueryService.  The concurrent benches measure the whole session
-    // path — snapshot pinning, admission, quota tracking, execution — and,
-    // like the parallel_scan benches, only *scale* on multicore hardware;
-    // on the single-core CI container they mostly show thread-scope and
-    // scheduling overhead (see crates/bench/README.md).
+    // path — snapshot pinning, admission, quota tracking, execution — and
+    // spawn one thread per session per iteration, so they include
+    // thread-scope overhead (see crates/bench/README.md).
     {
         use beas_common::ResourceQuota;
         use beas_service::QueryService;
@@ -281,21 +247,6 @@ fn micro(c: &mut Criterion) {
         b.iter(|| black_box(env.system.fork().database().generation()))
     });
 
-    // Morsel-parallel scan scaling: the same filter fragment over a
-    // 64k-row table (4 morsels) at 1/2/4 workers.  `workers=1` is the
-    // serial reference pipeline (no exchange is built at all).  On a
-    // single-core bench host the three run neck and neck — the spread
-    // shows the scheduling overhead, and the speedup only materializes on
-    // multicore hardware (see crates/bench/README.md).
-    let big = parallel_scan_db(4 * beas_common::MORSEL_ROWS as i64);
-    let scan_sql = "select id from big where v > 500 and tag = 'east'";
-    for workers in [1usize, 2, 4] {
-        let engine = Engine::new(OptimizerProfile::PgLike)
-            .with_parallelism(ParallelConfig::with_workers(workers));
-        group.bench_function(format!("parallel_scan_{workers}w"), |b| {
-            b.iter(|| black_box(engine.run(&big, scan_sql).unwrap().rows.len()))
-        });
-    }
     group.finish();
 }
 

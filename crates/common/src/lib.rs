@@ -14,7 +14,6 @@ pub mod batch;
 pub mod date;
 pub mod error;
 pub mod key;
-pub mod morsel;
 pub mod quota;
 pub mod rowref;
 pub mod schema;
@@ -29,9 +28,6 @@ pub use error::{BeasError, Result};
 pub use key::{
     canonical_hash, canonical_key_hash, canonical_key_value, index_key, is_canonical_key_value,
     join_key, joinable,
-};
-pub use morsel::{
-    default_workers, morsel_count, morsel_range, scatter, MorselQueue, ScatterOutcome, MORSEL_ROWS,
 };
 pub use quota::{QuotaTracker, ResourceQuota};
 pub use rowref::{dedupe, RowRef, RowSeg, ValueRow};

@@ -11,13 +11,15 @@
 //! * [`QuotaTracker`] is the shared runtime enforcer derived from a quota
 //!   when a query starts.  Both executors charge their data access against
 //!   it (the same `tuples_accessed` accounting the metrics report) and
-//!   check it *cooperatively* at morsel / fetch-step / scan-row
+//!   check it *cooperatively* at scan-row / fetch-step / blocking-loop
 //!   granularity — there is no preemption, so a trip surfaces at the next
 //!   checkpoint as a structured [`BeasError::QuotaExceeded`].
 //!
-//! The tracker is all atomics, so morsel workers on several threads charge
-//! the same budget without locks, and a trip observed by one worker stops
-//! the others at their next checkpoint.
+//! A query runs on the thread that submitted it, so its charges land in one
+//! deterministic order: the row and the columnar scans trip at the same
+//! tuple with the same message.  The tracker is still all atomics, so a
+//! caller on another thread can [`QuotaTracker::cancel`] a running query
+//! without a lock.
 
 use crate::error::{BeasError, Result};
 use beas_obs::clock;
@@ -90,8 +92,8 @@ impl ResourceQuota {
     }
 }
 
-// Trip causes, latched first-writer-wins so every thread reports the same
-// resource in its error.
+// Trip causes, latched first-writer-wins so every later check reports the
+// same resource in its error.
 const TRIP_NONE: u8 = 0;
 const TRIP_TUPLES: u8 = 1;
 const TRIP_ROWS: u8 = 2;
@@ -99,13 +101,13 @@ const TRIP_DEADLINE: u8 = 3;
 const TRIP_CANCELLED: u8 = 4;
 
 /// The runtime enforcer of a [`ResourceQuota`], shared by every operator of
-/// one query execution (and by every worker thread of a parallel stage).
+/// one query execution.
 ///
 /// Enforcement is cooperative: executors call [`QuotaTracker::charge_tuples`]
-/// as they touch base data and [`QuotaTracker::checkpoint`] at scheduling
-/// points (morsel claims, fetch steps).  Once any call returns an error the
-/// tracker latches *tripped*, so every subsequent check on any thread fails
-/// fast and the whole pipeline unwinds promptly.
+/// as they touch base data and [`QuotaTracker::checkpoint`] at fetch steps
+/// and inside blocking loops.  Once any call returns an error the tracker
+/// latches *tripped*, so every subsequent check fails fast and the whole
+/// pipeline unwinds promptly.
 #[derive(Debug)]
 pub struct QuotaTracker {
     tuples: AtomicU64,
@@ -114,8 +116,7 @@ pub struct QuotaTracker {
     /// Deadline as (start, budget); `checkpoint` compares elapsed time.
     deadline: Option<(Instant, Duration)>,
     /// `TRIP_NONE`, or the first cause that tripped the tracker — latched
-    /// first-writer-wins, so every later failure on any thread reports the
-    /// same resource.
+    /// first-writer-wins, so every later failure reports the same resource.
     tripped: AtomicU8,
     /// The answer-row count behind a rows trip, written before the latch so
     /// re-reports carry the real diagnostic.
@@ -202,9 +203,9 @@ impl QuotaTracker {
         self.fail_if_tripped()
     }
 
-    /// Cooperative cancellation point: fails if the quota has tripped on any
-    /// thread or the wall-clock deadline has passed.  Called at morsel and
-    /// fetch-step boundaries.
+    /// Cooperative cancellation point: fails if the quota has tripped (or
+    /// was cancelled from another thread) or the wall-clock deadline has
+    /// passed.  Called at fetch-step boundaries and in blocking loops.
     pub fn checkpoint(&self) -> Result<()> {
         self.fail_if_tripped()?;
         if let Some((start, budget)) = self.deadline {
@@ -287,7 +288,7 @@ mod tests {
     #[test]
     fn latched_trips_report_their_actual_cause_on_every_thread() {
         // a deadline trip must not masquerade as a tuples error in later
-        // failures (e.g. another morsel worker's next charge)
+        // failures (e.g. the scan's next charge)
         let tracker = ResourceQuota::unlimited()
             .with_deadline(Duration::ZERO)
             .tracker();

@@ -140,8 +140,7 @@ impl fmt::Display for PerformanceAnalysis {
 /// the fetched context; the baseline is rendered as the Fig. 3-style
 /// per-operator tree.  Both trees come from the same engine operators and
 /// carry `rows out` / `tuples accessed` / `time` on every node, including
-/// `Exchange(..)` and `Vectorized(..)` annotations when those physical
-/// paths ran.
+/// `Vectorized(..)` annotations when the columnar scan ran.
 #[derive(Debug, Clone)]
 pub struct QueryAnalysis {
     /// The SQL text analysed.

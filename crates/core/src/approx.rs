@@ -17,7 +17,7 @@
 //!   processed, a deterministic lower bound on the fraction of the exact
 //!   answer set that was explored.
 
-use crate::executor::{finalize, FetchConfig};
+use crate::executor::finalize;
 use crate::fetch::{run_fetch, KeyCap};
 use crate::plan::BoundedPlan;
 use beas_access::AccessIndexes;
@@ -49,7 +49,6 @@ pub fn execute_with_budget(
     plan: &BoundedPlan,
     query: &BoundQuery,
     indexes: &AccessIndexes,
-    fetch_config: FetchConfig,
     budget: u64,
 ) -> Result<ApproximateExecution> {
     if budget == 0 {
@@ -80,7 +79,7 @@ pub fn execute_with_budget(
             max_keys: (step_budget / fetch.constraint.n).max(1) as usize,
             max_tuples: remaining,
         };
-        let step = run_fetch(fetch, indexes, &rows, fetch_config, Some(cap))?;
+        let step = run_fetch(fetch, indexes, &rows, Some(cap))?;
         if step.keys_total > 0 {
             coverage *= step.keys_fetched as f64 / step.keys_total as f64;
         }
@@ -171,7 +170,7 @@ mod tests {
         indexes: &AccessIndexes,
         budget: u64,
     ) -> Result<ApproximateExecution> {
-        execute_with_budget(plan, query, indexes, FetchConfig::default(), budget)
+        execute_with_budget(plan, query, indexes, budget)
     }
 
     const SQL: &str = "select recnum from call where \

@@ -24,37 +24,12 @@ use beas_engine::{execute, ExecOptions, ExecutionMetrics, Input};
 use beas_obs::clock;
 use beas_sql::BoundQuery;
 
-/// Minimum number of distinct fetch keys before the key set is partitioned
-/// across scoped worker threads.  Spawning a scope's worth of OS threads
-/// costs on the order of 100µs, and each key is only a canonicalized hash
-/// lookup (~100ns), so parallelism pays for itself only on key sets in the
-/// thousands — typical TLC fetches (tens to hundreds of keys) stay serial.
-pub const PARALLEL_FETCH_MIN_KEYS: usize = 1024;
-
-/// Upper bound on fetch worker threads.
-pub const PARALLEL_FETCH_MAX_WORKERS: usize = 8;
-
-/// Tuning knobs of the bounded fetch stage.
-///
-/// The defaults are the production values; tests lower `parallel_min_keys`
-/// to force the parallel path on a handful of keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchConfig {
-    /// Minimum distinct fetch keys before the key set is partitioned across
-    /// worker threads (see [`PARALLEL_FETCH_MIN_KEYS`]).
-    pub parallel_min_keys: usize,
-    /// Upper bound on fetch worker threads.
-    pub max_workers: usize,
-}
-
-impl Default for FetchConfig {
-    fn default() -> Self {
-        FetchConfig {
-            parallel_min_keys: PARALLEL_FETCH_MIN_KEYS,
-            max_workers: PARALLEL_FETCH_MAX_WORKERS,
-        }
-    }
-}
+/// The type of [`execute_ctx_with`]'s unread fetch-tuning argument, kept
+/// for the callers that pass [`crate::BeasSystem::fetch_config`] through.
+/// A fetch step has nothing to tune: it probes its keys one by one on the
+/// calling thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FetchConfig;
 
 /// The context relation after all fetch steps.
 ///
@@ -94,27 +69,27 @@ pub struct BoundedExecution {
 /// budget stops at the next step boundary with a structured quota error.
 ///
 /// A plan's steps are resolved against the query when the plan is generated
-/// ([`crate::plan::ResolvedFetch`]), so `query` and `graph` are not read:
-/// they stay in the signature for the callers that pass them.
+/// ([`crate::plan::ResolvedFetch`]), so `query` and `graph` are not read, and
+/// a fetch step has nothing to tune: those three arguments stay in the
+/// signature for the callers that pass them.
 pub fn execute_ctx_with<'a>(
     plan: &BoundedPlan,
     _query: &BoundQuery,
     _graph: &QueryGraph,
     indexes: &'a AccessIndexes,
-    fetch_config: FetchConfig,
+    _fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
 ) -> Result<CtxResult<'a>> {
     let detail = beas_obs::trace_level().timing();
-    fetch_context(plan, indexes, fetch_config, quota, detail)
+    fetch_context(plan, indexes, quota, detail)
 }
 
 /// [`execute_ctx_with`]; with `detail` every `Fetch(..)` line of the metrics
 /// also says how many keys the step looked up and how its accessed tuples
 /// compare with its deduced bound.
-fn fetch_context<'a>(
+pub(crate) fn fetch_context<'a>(
     plan: &BoundedPlan,
     indexes: &'a AccessIndexes,
-    fetch_config: FetchConfig,
     quota: Option<&QuotaTracker>,
     detail: bool,
 ) -> Result<CtxResult<'a>> {
@@ -128,7 +103,7 @@ fn fetch_context<'a>(
         if let Some(q) = quota {
             q.checkpoint()?;
         }
-        let step = run_fetch(fetch, indexes, &rows, fetch_config, None)?;
+        let step = run_fetch(fetch, indexes, &rows, None)?;
         tuples_accessed += step.accessed;
         if let Some(q) = quota {
             q.charge_tuples(step.accessed)?;
@@ -155,21 +130,19 @@ fn fetch_context<'a>(
 
 /// Execute a bounded plan end to end (fetch stages plus finalization).
 pub fn execute_bounded(plan: &BoundedPlan, indexes: &AccessIndexes) -> Result<BoundedExecution> {
-    let opts = ExecOptions::default();
-    execute_bounded_with(plan, indexes, FetchConfig::default(), &opts)
+    execute_bounded_with(plan, indexes, &ExecOptions::default())
 }
 
-/// [`execute_bounded`] with explicit fetch tuning and engine options: the
-/// session quota is charged by the fetch steps (see [`execute_ctx_with`])
-/// and its deadline re-checked by the finalization's blocking operators.
+/// [`execute_bounded`] with explicit engine options: the session quota is
+/// charged by the fetch steps (see [`execute_ctx_with`]) and its deadline
+/// re-checked by the finalization's blocking operators.
 pub fn execute_bounded_with(
     plan: &BoundedPlan,
     indexes: &AccessIndexes,
-    fetch_config: FetchConfig,
     opts: &ExecOptions<'_>,
 ) -> Result<BoundedExecution> {
     let start = clock::now();
-    let ctx = fetch_context(plan, indexes, fetch_config, opts.quota, opts.timing)?;
+    let ctx = fetch_context(plan, indexes, opts.quota, opts.timing)?;
     let mut metrics = ctx.metrics;
     let rows = finalize(plan, ctx.rows, &mut metrics, opts)?;
     metrics.elapsed = start.elapsed();
@@ -450,14 +423,8 @@ mod tests {
             assert!(coverage.covered, "not covered: {:?}", coverage.reasons);
             let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
             let exact = execute_bounded(&plan, &indexes).expect_err("exact execution must fail");
-            let approx = crate::approx::execute_with_budget(
-                &plan,
-                &bound,
-                &indexes,
-                FetchConfig::default(),
-                1_000,
-            )
-            .expect_err("approximation must fail, not answer");
+            let approx = crate::approx::execute_with_budget(&plan, &bound, &indexes, 1_000)
+                .expect_err("approximation must fail, not answer");
             assert_eq!(approx.kind(), exact.kind(), "{sql}");
             assert_eq!(exact.kind(), kind, "{sql}");
         }
@@ -591,9 +558,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fetch_over_many_keys_matches_baseline() {
-        // Enough distinct context keys to cross PARALLEL_FETCH_MIN_KEYS, so
-        // the second fetch partitions its key set across worker threads.
+    fn a_fetch_over_thousands_of_keys_matches_baseline() {
+        // The second fetch looks up 3 072 distinct context keys in one
+        // step, far more than any benchmark shape asks for.
         let mut db = Database::new();
         db.create_table(
             TableSchema::new(
@@ -619,7 +586,7 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let n = PARALLEL_FETCH_MIN_KEYS * 3;
+        let n = 3 * 1024;
         for i in 0..n {
             db.insert(
                 "business",
@@ -684,8 +651,7 @@ mod tests {
             quota: Some(&tracker),
             ..ExecOptions::default()
         };
-        let fetch = FetchConfig::default();
-        let ok = execute_bounded_with(&plan, &indexes, fetch, &charged).unwrap();
+        let ok = execute_bounded_with(&plan, &indexes, &charged).unwrap();
         assert_eq!(tracker.tuples_used(), ok.tuples_accessed);
         // a 1-tuple quota trips on the 2-tuple fetch with a structured error
         let tight = beas_common::ResourceQuota::unlimited()
@@ -695,33 +661,10 @@ mod tests {
             quota: Some(&tight),
             ..ExecOptions::default()
         };
-        let err = execute_bounded_with(&plan, &indexes, fetch, &charged)
+        let err = execute_bounded_with(&plan, &indexes, &charged)
             .expect_err("fetch exceeds the 1-tuple quota");
         assert_eq!(err.kind(), "quota_exceeded");
         assert!(tight.is_tripped());
-    }
-
-    #[test]
-    fn fetch_config_min_keys_forces_the_parallel_path_without_changing_answers() {
-        // parallel_min_keys = 1 partitions even this query's handful of
-        // fetch keys across worker threads; rows, order and accounting must
-        // equal the serial fetch exactly (deterministic positional merge).
-        let (db, schema, indexes) = setup();
-        let sql = "select recnum from call where pnum in ('b1', 'b2') \
-                   and date = '2016-07-04' order by recnum";
-        let bound = Binder::new(&db).bind(&parse_select(sql).unwrap()).unwrap();
-        let graph = QueryGraph::build(&bound).unwrap();
-        let coverage = Checker::new(&schema).check(&bound, &graph);
-        let plan = generate_bounded_plan(&bound, &graph, &coverage).unwrap();
-        let serial = execute_bounded(&plan, &indexes).unwrap();
-        let forced = FetchConfig {
-            parallel_min_keys: 1,
-            max_workers: 4,
-        };
-        let opts = ExecOptions::default();
-        let parallel = execute_bounded_with(&plan, &indexes, forced, &opts).unwrap();
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(serial.tuples_accessed, parallel.tuples_accessed);
     }
 
     #[test]

@@ -32,15 +32,10 @@
 //! rows out, and predicates only remove rows.  Debug builds and the
 //! `validate` feature assert it on every step.
 
-use crate::executor::FetchConfig;
 use crate::plan::{KeySource, PlannedFetch};
 use beas_access::AccessIndexes;
-use beas_common::{
-    canonical_key_value, dedupe, default_workers, morsel_count, morsel_range, scatter, BeasError,
-    DataType, MorselQueue, Result, Row, RowRef, Value,
-};
+use beas_common::{canonical_key_value, dedupe, BeasError, DataType, Result, Row, RowRef, Value};
 use beas_sql::{evaluate_predicate, BoundExpr};
-use beas_storage::ConstraintIndex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -119,28 +114,6 @@ fn passes(filters: &[BoundExpr], row: &RowRef<'_>) -> Result<bool> {
     Ok(true)
 }
 
-/// The bucket of each key, positionally aligned with `keys`.  A key set
-/// large enough to pay for worker threads is looked up in chunks on the
-/// shared morsel driver: [`scatter`] returns the chunks in key order, so the
-/// result is that of the serial walk regardless of thread scheduling.
-fn probe<'a>(
-    index: &'a ConstraintIndex,
-    keys: &[Vec<Value>],
-    config: FetchConfig,
-) -> Vec<&'a [Row]> {
-    if keys.len() < config.parallel_min_keys {
-        return keys.iter().map(|key| index.fetch(key)).collect();
-    }
-    let workers = default_workers(config.max_workers);
-    let chunk = keys.len().div_ceil(workers);
-    let queue = MorselQueue::new(morsel_count(keys.len(), chunk));
-    let fetched = scatter(&queue, workers, |i| {
-        let part = &keys[morsel_range(i, keys.len(), chunk)];
-        index.fetch_buckets(part.iter().map(|k| k.as_slice())).0
-    });
-    fetched.results.into_iter().flatten().collect()
-}
-
 /// Run one fetch step over the context `rows` (module docs).  With a `cap`
 /// only a prefix of the distinct keys is looked up and context rows whose key
 /// was left out join nothing — the step resource-bounded approximation runs.
@@ -148,7 +121,6 @@ pub(crate) fn run_fetch<'a>(
     fetch: &PlannedFetch,
     indexes: &'a AccessIndexes,
     rows: &[RowRef<'a>],
-    fetch_config: FetchConfig,
     cap: Option<KeyCap>,
 ) -> Result<FetchStepOutput<'a>> {
     let resolved = &*fetch.resolved;
@@ -231,9 +203,9 @@ pub(crate) fn run_fetch<'a>(
         Some(cap) => (distinct_keys.len().min(cap.max_keys), cap.max_tuples),
         None => (distinct_keys.len(), u64::MAX),
     };
-    let keys = &distinct_keys[..candidates];
     let mut buckets: HashMap<&[Value], (Arc<Row>, &'a [Row])> = HashMap::with_capacity(candidates);
-    for (key, bucket) in keys.iter().zip(probe(index, keys, fetch_config)) {
+    for key in &distinct_keys[..candidates] {
+        let bucket = index.fetch(key);
         if out.accessed + bucket.len() as u64 > max_tuples {
             break;
         }

@@ -40,7 +40,7 @@ pub use approx::ApproximateExecution;
 pub use checker::{Checker, CoverageResult, FetchStep};
 pub use executor::{
     execute_bounded, execute_bounded_with, execute_ctx_with, BoundedExecution, CtxResult,
-    FetchConfig, PARALLEL_FETCH_MIN_KEYS,
+    FetchConfig,
 };
 pub use graph::{Atom, Constant, QueryGraph};
 pub use partial::{

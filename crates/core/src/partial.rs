@@ -10,7 +10,7 @@
 //! indices of A" (§3).
 
 use crate::checker::CoverageResult;
-use crate::executor::{execute_ctx_with, FetchConfig};
+use crate::executor::fetch_context;
 use crate::graph::QueryGraph;
 use crate::plan::{KeySource, PlannedFetch};
 use crate::planner::generate_plan_for_steps;
@@ -34,8 +34,6 @@ pub const DEFAULT_REDUCTION_MIN_SAVINGS: f64 = 0.1;
 /// Tuning of a partially bounded execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartialOptions {
-    /// Bounded-fetch tuning forwarded to [`execute_ctx_with`].
-    pub fetch: FetchConfig,
     /// Cost gate on the *predicted* savings ratio: a covered relation is
     /// only reduced when the fraction of base rows the reduction is
     /// predicted to eliminate (from memoized table statistics, before any
@@ -52,7 +50,6 @@ pub struct PartialOptions {
 impl Default for PartialOptions {
     fn default() -> Self {
         PartialOptions {
-            fetch: FetchConfig::default(),
             reduction_min_savings: 0.0,
         }
     }
@@ -302,7 +299,7 @@ pub fn execute_partially_bounded_with(
     }
 
     // 1. Bounded stage: fetch everything the access schema reaches.
-    let ctx = execute_ctx_with(&plan, query, graph, indexes, options.fetch, quota)?;
+    let ctx = fetch_context(&plan, indexes, quota, beas_obs::trace_level().timing())?;
 
     // 2. Build the reduced database: covered relations are replaced by the
     //    distinct partial tuples the bounded stage produced (columns the
@@ -688,7 +685,6 @@ mod tests {
         assert!(!coverage.covered);
         let options = PartialOptions {
             reduction_min_savings: threshold,
-            ..PartialOptions::default()
         };
         let partial = execute_partially_bounded_with(
             &db, &engine, &bound, &graph, &coverage, &indexes, options, None,
@@ -759,7 +755,6 @@ mod tests {
         let coverage = Checker::new(&schema).check(&bound, &graph);
         let options = PartialOptions {
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
-            ..PartialOptions::default()
         };
         let partial = execute_partially_bounded_with(
             &db, &engine, &bound, &graph, &coverage, &indexes, options, None,

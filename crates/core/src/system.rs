@@ -389,7 +389,6 @@ pub struct BeasSystem {
     /// allocator whenever a constraint or a bound changes.
     access_epoch: u64,
     maintenance_policy: MaintenancePolicy,
-    fetch_config: FetchConfig,
     reduction_min_savings: f64,
 }
 
@@ -405,7 +404,6 @@ impl BeasSystem {
             plan_cache: Arc::new(PlanCache::default()),
             access_epoch: 0,
             maintenance_policy: MaintenancePolicy::Strict,
-            fetch_config: FetchConfig::default(),
             reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
         }
     }
@@ -439,7 +437,6 @@ impl BeasSystem {
             plan_cache: Arc::clone(&self.plan_cache),
             access_epoch: self.access_epoch,
             maintenance_policy: self.maintenance_policy,
-            fetch_config: self.fetch_config,
             reduction_min_savings: self.reduction_min_savings,
         }
     }
@@ -462,36 +459,21 @@ impl BeasSystem {
 
     /// Replace the conventional engine used for fallback / residual plans.
     pub fn with_fallback_profile(mut self, profile: OptimizerProfile) -> Self {
-        self.fallback = Engine::new(profile)
-            .with_parallelism(self.fallback.parallelism())
-            .with_exec_profile(self.fallback.exec_profile());
+        self.fallback = Engine::new(profile).with_exec_profile(self.fallback.exec_profile());
         self
     }
 
-    /// Configure morsel-driven parallelism for the fallback engine (the
-    /// conventional engine that runs uncovered queries and the unbounded
-    /// residue of partially bounded plans).
-    ///
-    /// Parallelism is a *physical* execution property: cached plans stay
-    /// valid across knob changes — the plan cache stores logical prepared
-    /// queries and the exchange decision is made at execution time from the
-    /// engine's current configuration — so no cache invalidation happens
-    /// here, and answers are identical under every configuration.
-    pub fn with_parallel_fallback(mut self, parallel: ParallelConfig) -> Self {
-        self.fallback = self.fallback.with_parallelism(parallel);
-        self
-    }
-
-    /// The fallback engine's morsel-parallelism configuration.
+    /// The fallback engine's columnar-scan morsel size (always the default:
+    /// kept for the callers that configure an engine like the fallback).
     pub fn parallel_fallback(&self) -> ParallelConfig {
         self.fallback.parallelism()
     }
 
     /// Choose how the fallback engine *executes* plans: the columnar kernel
-    /// path (the default) or the row-at-a-time reference pipeline.  Like
-    /// parallelism this is a physical property — answers, order, errors and
-    /// tuple accounting are identical under every profile, and cached plans
-    /// stay valid across knob changes.
+    /// path (the default) or the row-at-a-time reference pipeline.  This is
+    /// a physical property — answers, order, errors and tuple accounting are
+    /// identical under every profile, and cached plans stay valid across
+    /// knob changes.
     pub fn with_exec_fallback(mut self, exec: ExecProfile) -> Self {
         self.fallback = self.fallback.with_exec_profile(exec);
         self
@@ -502,9 +484,10 @@ impl BeasSystem {
         self.fallback.exec_profile()
     }
 
-    /// The bounded fetch stage's tuning.
+    /// What [`crate::execute_ctx_with`] takes as its unread fetch-tuning
+    /// argument: a fetch step has nothing to tune.
     pub fn fetch_config(&self) -> FetchConfig {
-        self.fetch_config
+        FetchConfig
     }
 
     /// Set the partial-reduction cost gate threshold: a covered relation is
@@ -525,7 +508,6 @@ impl BeasSystem {
 
     fn partial_options(&self) -> PartialOptions {
         PartialOptions {
-            fetch: self.fetch_config,
             reduction_min_savings: self.reduction_min_savings,
         }
     }
@@ -897,7 +879,7 @@ impl BeasSystem {
         let coverage = &prepared.coverage;
         let quota = opts.quota;
         if let Some(plan) = &prepared.plan {
-            let result = execute_bounded_with(plan, &self.indexes, self.fetch_config, opts)?;
+            let result = execute_bounded_with(plan, &self.indexes, opts)?;
             return Ok(ExecutionOutcome {
                 rows: result.rows,
                 schema: query.output_schema.clone(),
@@ -1128,7 +1110,7 @@ impl BeasSystem {
                 &generated
             }
         };
-        execute_with_budget(plan, query, &self.indexes, self.fetch_config, budget)
+        execute_with_budget(plan, query, &self.indexes, budget)
     }
 
     /// EXPLAIN ANALYZE through the whole system: execute `sql` through
@@ -1137,8 +1119,8 @@ impl BeasSystem {
     /// breakdowns side by side.  A bounded run renders as its `Fetch(..)`
     /// lines followed by the per-operator tree of its finalization
     /// ([`beas_engine::analyze_tree`] over the plan's `Context` leaf); the
-    /// baseline as the Fig. 3-style operator tree (including `Exchange(..)`
-    /// / `Vectorized(..)` annotations when those physical paths ran).
+    /// baseline as the Fig. 3-style operator tree (including `Vectorized(..)`
+    /// annotations when the columnar scan ran).
     ///
     /// Per-operator timing is forced on for the bounded finalization and
     /// the baseline per pipeline, not by flipping the global
@@ -1665,41 +1647,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fallback_knob_keeps_answers_and_cached_plans() {
-        // A forced-parallel fallback engine must return exactly the serial
-        // answers, and flipping the knob must not disturb the plan cache
-        // (parallelism is decided at execution time, not plan time).
-        let parallel = ParallelConfig {
-            workers: 2,
-            min_rows: 0,
-            morsel_rows: 8,
-        };
-        let beas = system().with_parallel_fallback(parallel);
-        assert_eq!(beas.parallel_fallback(), parallel);
-        let first = beas.execute_sql(UNCOVERED).unwrap();
-        let reference = system().execute_sql(UNCOVERED).unwrap();
-        assert_eq!(first.rows, reference.rows);
-        // cached entry planned under the parallel engine is reused ...
-        let again = beas.execute_sql(UNCOVERED).unwrap();
-        assert_eq!(again.rows, first.rows);
-        assert_eq!(beas.plan_cache_stats().hits, 1);
-        // ... and survives a knob flip without invalidation
-        let beas = beas.with_parallel_fallback(ParallelConfig::serial());
-        let serial_again = beas.execute_sql(UNCOVERED).unwrap();
-        assert_eq!(serial_again.rows, first.rows);
-        let stats = beas.plan_cache_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.invalidations, 0);
-        // profile changes preserve the parallel setting
-        let beas = beas.with_fallback_profile(OptimizerProfile::MySqlLike);
-        assert_eq!(beas.parallel_fallback(), ParallelConfig::serial());
-    }
-
-    #[test]
     fn exec_fallback_knob_keeps_answers_and_cached_plans() {
-        // Same contract as the parallelism knob: the execution profile is a
-        // physical property, so answers match the default bit for bit and
-        // cached plans survive flips without invalidation.
+        // The execution profile is a physical property, so answers match
+        // the default bit for bit and cached plans survive flips without
+        // invalidation.
         let reference = system().execute_sql(UNCOVERED).unwrap();
         for exec in ExecProfile::all() {
             let beas = system().with_exec_fallback(exec);

@@ -9,10 +9,9 @@
 //! each metrics line to the plan node that produced it by operator *kind*
 //! (the label token before the first `(`).
 //!
-//! Physical-only lines with no logical counterpart — `Exchange(..)` morsel
-//! statistics and `Vectorized(..)` kernel markers — attach to the plan node
-//! they annotate (the top of the fragment they replaced) instead of
-//! becoming tree nodes, so the analyzed tree always has the same shape as
+//! Physical-only lines with no logical counterpart — the `Vectorized(..)`
+//! kernel markers — attach to the plan node they annotate (the top of the
+//! fragment the columnar scan ran) instead of becoming tree nodes, so the analyzed tree always has the same shape as
 //! [`LogicalPlan::explain`] regardless of which physical path ran.  A test
 //! pins that property; a mismatch between the two is an engine bug and
 //! surfaces as an error rather than a silently wrong tree.
@@ -23,16 +22,16 @@ use beas_common::{BeasError, Result};
 
 /// One node of the analyzed plan: the logical operator's rich label (as
 /// printed by [`LogicalPlan::explain`]), the metrics line the executor
-/// recorded for it, any physical annotations (exchange / vectorized
-/// markers), and its children in plan order.
+/// recorded for it, any physical annotations (vectorized markers), and its
+/// children in plan order.
 #[derive(Debug, Clone)]
 pub struct AnalyzeNode {
     /// The node's own EXPLAIN label, e.g. `HashJoin(#0 = right.#0)`.
     pub label: String,
     /// The metrics the executor recorded for this operator.
     pub metric: OperatorMetrics,
-    /// Physical-only metrics lines attached to this node: `Exchange(..)`
-    /// worker statistics and `Vectorized(..)` kernel markers.
+    /// Physical-only metrics lines attached to this node: `Vectorized(..)`
+    /// kernel markers.
     pub annotations: Vec<OperatorMetrics>,
     /// Child nodes, in the same order as [`LogicalPlan::explain`]
     /// (join: probe/left first, then build/right).
@@ -117,7 +116,7 @@ fn metric_kind(label: &str) -> &str {
 /// Whether a metrics line is a physical-only annotation with no logical
 /// plan counterpart.
 fn is_annotation(label: &str) -> bool {
-    matches!(metric_kind(label), "Exchange" | "Vectorized")
+    metric_kind(label) == "Vectorized"
 }
 
 /// The plan node's own EXPLAIN label: the first line of its subtree
@@ -190,7 +189,7 @@ fn analyze_node(
     *cursor += 1;
 
     // Physical markers recorded right after an operator annotate it: the
-    // exchange / vectorized fragment replaced this node's pipeline.
+    // columnar scan ran this node's pipeline.
     let mut annotations = Vec::new();
     while let Some(next) = ops.get(*cursor) {
         if !is_annotation(&next.operator) {
@@ -256,15 +255,15 @@ mod tests {
             input: Box::new(scan("t")),
             predicate: pred,
         };
-        // Exchange fragments record scan + ops + one Exchange(..) marker.
+        // Columnar fragments record scan + ops + one Vectorized(..) marker.
         let m = metrics(&[
             ("SeqScan(t)", 10),
             ("Filter(TRUE)", 4),
-            ("Exchange(workers=2, morsels=4)", 4),
+            ("Vectorized(batches=1, fallbacks=0)", 4),
         ]);
         let tree = analyze_tree(&plan, &m).unwrap();
         assert_eq!(tree.annotations.len(), 1);
-        assert!(tree.annotations[0].operator.starts_with("Exchange("));
+        assert!(tree.annotations[0].operator.starts_with("Vectorized("));
         assert!(tree.children[0].annotations.is_empty());
     }
 

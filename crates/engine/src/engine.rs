@@ -45,11 +45,7 @@ impl QueryResult {
 /// BEAS also uses it to execute the unbounded residue of partially bounded
 /// plans.
 ///
-/// Large scans run morsel-parallel by default (a worker per core, capped;
-/// single-core hosts and small tables stay serial) — see
-/// [`ParallelConfig`] and [`Engine::with_parallelism`].  Parallelism is a
-/// physical execution property: it never changes answers, row order, or
-/// which error a query raises.
+/// A query runs on the thread that submits it.
 #[derive(Debug, Clone, Copy)]
 pub struct Engine {
     profile: OptimizerProfile,
@@ -78,22 +74,22 @@ impl Engine {
         self.profile
     }
 
-    /// Replace the morsel-parallelism configuration (worker count, planner
-    /// threshold, morsel granularity).  `ParallelConfig::serial()` pins the
-    /// serial reference pipeline.
+    /// Replace the columnar scan's morsel size ([`ParallelConfig`]).  Like
+    /// the execution profile it is a physical property: answers, order,
+    /// errors and tuple accounting never change.
     pub fn with_parallelism(mut self, parallel: ParallelConfig) -> Self {
         self.parallel = parallel;
         self
     }
 
-    /// The engine's morsel-parallelism configuration.
+    /// The engine's columnar-scan morsel size.
     pub fn parallelism(&self) -> ParallelConfig {
         self.parallel
     }
 
     /// Replace the execution profile (columnar kernels vs the row-at-a-time
-    /// reference pipeline).  Like parallelism this is a physical property:
-    /// answers, order, errors and tuple accounting never change.
+    /// reference pipeline).  This is a physical property: answers, order,
+    /// errors and tuple accounting never change.
     pub fn with_exec_profile(mut self, exec: ExecProfile) -> Self {
         self.exec = exec;
         self

@@ -31,48 +31,18 @@
 //! the pipeline, so they report zero own-time — the total is on
 //! [`ExecutionMetrics::elapsed`].
 //!
-//! # Morsel-driven parallelism
+//! # Columnar leaf fragments
 //!
-//! Large scans run *morsel-parallel*: the base table is split into
-//! fixed-size row ranges ([`beas_common::morsel::MORSEL_ROWS`]), worker
-//! threads claim morsels from a shared ordered queue
-//! ([`beas_common::MorselQueue`]) and run the whole leaf pipeline fragment
-//! — scan plus any stack of filters and projections — inside the worker.
-//! An `Exchange` operator stitches the fragments back together with a
-//! deterministic morsel-ordered merge, so output rows, their order and the
-//! `tuples accessed` accounting are identical to the serial pipeline
-//! (workers own whole morsels; the merge sorts by morsel index exactly as
-//! the bounded executor's parallel fetch merges by key position).
-//! Pipeline breakers gather *per-morsel partial state* that the merge
-//! combines:
+//! A scan under a stack of filters and projections may instead run through
+//! the columnar kernels (`engine::vectorized`): the table is cut into
+//! morsels of [`ParallelConfig::morsel_rows`] rows, each morsel is one
+//! [`beas_common::ColumnBatch`], and a morsel the kernels cannot finish
+//! re-runs on the row path.  Rows, order, errors and `tuples accessed` equal
+//! the row pipeline's, which stays the reference
+//! (`tests/vectorized_semantics.rs`).
 //!
-//! * **Distinct** — workers pre-deduplicate their morsels; the streaming
-//!   `Distinct` downstream removes the remaining cross-morsel duplicates,
-//!   preserving global first-occurrence order;
-//! * **Sort under a limit hint** — workers prune each morsel to its stable
-//!   top-k; the downstream sort runs the global top-k over the pruned merge
-//!   (a discarded row is beaten by `k` earlier rows of its own morsel, so
-//!   it can never re-enter the global answer);
-//! * **Aggregate** — workers fold each morsel into per-group
-//!   [`Accumulator`]s, merged group-wise in morsel order
-//!   ([`Accumulator::merge`]), restricted to aggregates whose merge is
-//!   bit-exact in answers *and* errors (`COUNT`/`MIN`/`MAX`; `SUM`/`AVG`
-//!   re-associate additions — float rounding and checked-integer overflow
-//!   are both order-sensitive — and stay on the serial fold);
-//! * **streaming `LIMIT`** — the limit quota rides on the shared queue: a
-//!   worker reports surviving rows and the queue stops handing out morsels
-//!   once the quota is met.  Claims are ordered, so the claimed prefix
-//!   provably contains the first `k` survivors.  Because whole morsels are
-//!   read, a parallel limited scan may access *more* tuples than the serial
-//!   lazy prefix; the planner therefore only parallelizes limited fragments
-//!   whose quota is at least one morsel, and leaves small limits serial.
-//!
-//! The parallel path is gated by [`ParallelConfig`]: a worker count (from
-//! `available_parallelism`, 1 disables), and a minimum estimated input size
-//! read from the database's memoized statistics
-//! ([`crate::planner::estimated_scan_rows`]).  The serial pipeline remains
-//! the reference semantics; `tests/parallel_semantics.rs` pins the two
-//! paths equal on mixed-type data.
+//! A query runs on the thread that calls [`execute`]; the service gets its
+//! concurrency from sessions, not from splitting one query.
 //!
 //! The executor remains deliberately conventional in *what* it computes:
 //! un-limited scans read whole tables and joins touch every input row — the
@@ -80,113 +50,72 @@
 //! avoids.  Rows materialize back into owned `Vec<Value>` form only at the
 //! query boundary.
 
-use crate::metrics::{ExecutionMetrics, MorselStats};
+use crate::metrics::ExecutionMetrics;
 use crate::plan::{JoinAlgorithm, LogicalPlan};
 use crate::profile::ExecProfile;
-use crate::vectorized::{
-    build_join_table, kernels_cover, probe_join_table, run_morsel_auto, run_morsel_vectorized,
-};
-use beas_common::{
-    join_key, scatter, BeasError, MorselQueue, QuotaTracker, Result, Row, RowRef, RowStream, Value,
-    MORSEL_ROWS,
-};
+use crate::vectorized::{build_join_table, kernels_cover, probe_join_table, run_morsel_vectorized};
+use beas_common::{join_key, BeasError, QuotaTracker, Result, Row, RowRef, RowStream, Value};
 use beas_obs::{clock, OpTimer};
 use beas_sql::{evaluate, evaluate_predicate, Accumulator, BoundAggregate, BoundExpr};
-use beas_storage::{Database, Table};
+use beas_storage::{Database, Table, MORSEL_ROWS};
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-/// Upper bound on morsel worker threads per exchange.
-pub const PARALLEL_SCAN_MAX_WORKERS: usize = 8;
-
-/// Minimum estimated input rows (from the memoized table statistics) before
-/// a scan fragment is parallelized.  Below two morsels' worth of rows the
-/// scheduling and thread-scope overhead (~100µs) outweighs the per-row work.
-pub const PARALLEL_SCAN_MIN_ROWS: usize = 2 * MORSEL_ROWS;
-
-/// Configuration of the morsel-driven parallel execution path.
-///
-/// The default enables parallelism with `available_parallelism` workers
-/// (so a single-core host stays serial) at the production morsel
-/// granularity; [`ParallelConfig::serial`] disables it.  Tests shrink
-/// `morsel_rows`/`min_rows` to force multi-morsel schedules on small data.
+/// The columnar scan's batch size.  The name is kept for the callers that
+/// pass it through [`crate::Engine::with_parallelism`]; a query always runs
+/// on one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads per exchange; `<= 1` keeps every pipeline serial.
-    pub workers: usize,
-    /// Minimum estimated input rows before a fragment is parallelized.
-    pub min_rows: usize,
-    /// Rows per morsel.
+    /// Rows per morsel: the batch [`ExecProfile::Vectorized`] builds and runs
+    /// through its kernels.  Tests shrink it so small tables split into many
+    /// morsels, forcing kernel / row-path splices.
     pub morsel_rows: usize,
 }
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig::with_workers(beas_common::default_workers(PARALLEL_SCAN_MAX_WORKERS))
-    }
-}
-
-impl ParallelConfig {
-    /// The serial configuration: no exchange is ever built.  It asks the
-    /// host nothing — `available_parallelism` costs microseconds, and every
-    /// bounded query builds this configuration for its finalization.
-    pub fn serial() -> Self {
-        ParallelConfig::with_workers(1)
-    }
-
-    /// The default configuration with a fixed worker count.
-    pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
-            workers,
-            min_rows: PARALLEL_SCAN_MIN_ROWS,
             morsel_rows: MORSEL_ROWS,
         }
-    }
-
-    /// Whether the parallel path can engage at all.
-    pub fn enabled(&self) -> bool {
-        self.workers > 1
     }
 }
 
 /// How [`execute`] runs a plan.  Every field is a physical property: rows,
 /// order, error kind and position, `tuples_accessed` and quota charging are
-/// identical under every combination (`tests/parallel_semantics.rs`,
-/// `tests/vectorized_semantics.rs`, `tests/trace_semantics.rs`).
+/// identical under every combination (`tests/vectorized_semantics.rs`,
+/// `tests/trace_semantics.rs`).
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions<'a> {
-    /// Which scan fragments run morsel-parallel.
+    /// The columnar scan's morsel size.
     pub parallel: ParallelConfig,
     /// Columnar kernels over per-morsel [`beas_common::ColumnBatch`]es, with
     /// per-morsel fallback to the row path for uncovered shapes or kernel
     /// errors, versus the row-at-a-time reference pipeline.
     pub exec: ExecProfile,
-    /// Session quota: base-table access is charged as it happens — per row
-    /// on the serial scan, per morsel on the parallel exchange — and
-    /// blocking operators re-check the deadline, so a query that exceeds
-    /// its budget ends early with [`BeasError::QuotaExceeded`].  Trips are
-    /// *cooperative*: the parallel path may observe one at a different
-    /// morsel than the serial path, but the error kind, and that the budget
-    /// is never overrun by more than one scheduling quantum, are the same.
+    /// Session quota: base-table access is charged one tuple per row read,
+    /// and blocking operators re-check the deadline, so a query that exceeds
+    /// its budget ends early with [`BeasError::QuotaExceeded`].  The row
+    /// and the columnar scans charge at the same rows, so a trip carries the
+    /// same message and leaves the same `tuples_used` under every
+    /// [`ExecProfile`].
     pub quota: Option<&'a QuotaTracker>,
     /// Per-operator timing: when on, every streaming operator accumulates
     /// its *inclusive* elapsed time (time spent pulling from inputs
     /// included, PostgreSQL `EXPLAIN ANALYZE` convention) into its
     /// [`ExecutionMetrics`] line; when off, streaming operators report
     /// `Duration::ZERO` and only blocking phases (join build, sort,
-    /// aggregate fold, exchange run) carry elapsed times.
+    /// aggregate fold) carry elapsed times.
     pub timing: bool,
 }
 
 impl Default for ExecOptions<'_> {
-    /// The serial reference pipeline under the default execution profile,
-    /// no quota, and per-operator timing as the global
-    /// [`beas_obs::TraceLevel`] says — read here, once per query, never per
-    /// row.
+    /// The default execution profile and morsel size, no quota, and
+    /// per-operator timing as the global [`beas_obs::TraceLevel`] says —
+    /// read here, once per query, never per row.
     fn default() -> Self {
         ExecOptions {
-            parallel: ParallelConfig::serial(),
+            parallel: ParallelConfig::default(),
             exec: ExecProfile::default(),
             quota: None,
             timing: beas_obs::trace_level().timing(),
@@ -219,7 +148,7 @@ pub fn execute<'a>(
     };
     let ctx = BuildCtx {
         db,
-        parallel: opts.parallel,
+        morsel_rows: opts.parallel.morsel_rows,
         lazy: false,
         quota: opts.quota,
         exec: opts.exec,
@@ -271,14 +200,13 @@ struct BuildCtx<'a> {
     /// The database `Scan` leaves read; `None` when the plan runs over a
     /// fetched context ([`Input::Context`]).
     db: Option<&'a Database>,
-    /// Morsel-parallelism configuration for this execution.
-    parallel: ParallelConfig,
+    /// Rows per columnar-scan morsel.
+    morsel_rows: usize,
     /// Whether the consumer may stop pulling early (a `LIMIT` upstream with
-    /// only streaming operators in between).  An eager parallel fragment
-    /// would forfeit the serial path's lazy-prefix advantage, so laziness
-    /// inhibits exchanges unless the limit quota spans whole morsels.
-    /// Pipeline breakers (Sort, Aggregate, a join's build side) drain their
-    /// input completely and reset the flag.
+    /// only streaming operators in between).  A columnar fragment reads a
+    /// whole morsel ahead of demand, so laziness keeps the row-at-a-time
+    /// scan and its lazy prefix.  Pipeline breakers (Sort, Aggregate, a
+    /// join's build side) drain their input completely and reset the flag.
     lazy: bool,
     /// Session quota charged by every base-data access path.
     quota: Option<&'a QuotaTracker>,
@@ -324,22 +252,14 @@ impl<'a> BuildCtx<'a> {
 /// on whether a doomed row's error surfaces — the error-parity guarantee is
 /// pinned for the un-limited case
 /// (`type_error_predicates_propagate_like_the_baseline`).
-/// The morsel-parallel path preserves the same contract: an exchange under a
-/// limit reads whole morsels but replays them in row order, so exactly the
-/// rows (and the first error, if pulled) of the serial prefix surface.
 fn build_operator<'a>(
     plan: &'a LogicalPlan,
     limit: Option<usize>,
     ctx: BuildCtx<'a>,
     context: &mut Vec<RowRef<'a>>,
 ) -> Result<BoxedOperator<'a>> {
-    // A maximal Scan → Filter*/Project* chain may run morsel-parallel as a
-    // whole; the exchange replaces the entire fragment.
-    if let Some(op) = try_exchange(plan, limit, ctx, ExchangePartial::Append)? {
-        return Ok(op);
-    }
-    // A fragment too small (or too serial) for the exchange may still run
-    // its morsels through the columnar kernels.
+    // A maximal Scan → Filter*/Project* chain may run its morsels through
+    // the columnar kernels as a whole.
     if let Some(op) = try_vectorized(plan, ctx, false)? {
         return Ok(op);
     }
@@ -385,8 +305,7 @@ fn build_operator<'a>(
         } => {
             // The probe (left) side streams on demand, so it inherits the
             // consumer's laziness; the build (right) side is always drained
-            // in full, which makes it a safe parallel fragment even under a
-            // downstream LIMIT.
+            // in full, so it may run columnar even under a downstream LIMIT.
             let left = build_operator(left, None, ctx, context)?;
             let right = build_operator(right, None, ctx.drained(), context)?;
             let label = format!("{}(keys={})", algorithm.name(), keys.len());
@@ -422,17 +341,7 @@ fn build_operator<'a>(
         } => {
             // Aggregation must consume all input; only the *output* groups
             // are streamed (first-seen group order), so a downstream LIMIT
-            // cuts groups lazily.  When every aggregate merges exactly, the
-            // fragment below can be folded per-morsel in the workers and the
-            // partial groups merged — otherwise the input may still be a
-            // plain exchange and the aggregation itself stays serial.
-            if merge_exact(aggregates) {
-                if let Some(op) =
-                    try_parallel_aggregate(input, ctx.drained(), group_by, aggregates)?
-                {
-                    return Ok(op);
-                }
-            }
+            // cuts groups lazily.
             let input = build_operator(input, None, ctx.drained(), context)?;
             Box::new(AggregateOp {
                 input,
@@ -457,17 +366,13 @@ fn build_operator<'a>(
             })
         }
         LogicalPlan::Distinct { input } => {
-            // Workers pre-deduplicate their morsels; this operator removes
-            // the remaining cross-morsel duplicates in merged row order, so
-            // the surviving set and order equal the serial run's.
-            let input = match try_exchange(input, None, ctx, ExchangePartial::Dedupe)? {
+            // The columnar path pre-deduplicates each morsel with batched
+            // hashes; this operator removes the remaining cross-morsel
+            // duplicates in row order, so the surviving set and order equal
+            // the row pipeline's.
+            let input = match try_vectorized(input, ctx, true)? {
                 Some(op) => op,
-                // The serial vectorized path pre-deduplicates per morsel
-                // with batched hashes, mirroring the exchange's partial.
-                None => match try_vectorized(input, ctx, true)? {
-                    Some(op) => op,
-                    None => build_operator(input, None, ctx, context)?,
-                },
+                None => build_operator(input, None, ctx, context)?,
             };
             Box::new(DistinctOp {
                 input,
@@ -477,18 +382,8 @@ fn build_operator<'a>(
             })
         }
         LogicalPlan::Sort { input, keys } => {
-            // Sort drains its input whatever happens downstream.  Under a
-            // limit hint the workers prune each morsel to its stable top-k,
-            // and the global (stable) top-k below runs over the pruned merge.
-            let inner = ctx.drained();
-            let partial = match limit {
-                Some(k) => ExchangePartial::TopK { keys, k },
-                None => ExchangePartial::Append,
-            };
-            let input = match try_exchange(input, None, inner, partial)? {
-                Some(op) => op,
-                None => build_operator(input, None, inner, context)?,
-            };
+            // Sort drains its input whatever happens downstream.
+            let input = build_operator(input, None, ctx.drained(), context)?;
             Box::new(SortOp {
                 input,
                 started: false,
@@ -516,7 +411,7 @@ fn build_operator<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-parallel fragments
+// Leaf fragments
 // ---------------------------------------------------------------------------
 
 /// One streaming operator of a leaf pipeline fragment.
@@ -528,8 +423,8 @@ pub(crate) enum FragOp<'a> {
     Project(&'a [(BoundExpr, String)]),
 }
 
-/// A parallelizable leaf pipeline: a base-table scan under any stack of
-/// fully streaming per-row operators, innermost first.
+/// A leaf pipeline the columnar kernels may run: a base-table scan under any
+/// stack of fully streaming per-row operators, innermost first.
 #[derive(Debug, Clone)]
 pub(crate) struct Fragment<'a> {
     pub(crate) table: &'a str,
@@ -564,29 +459,13 @@ fn leaf_fragment(plan: &LogicalPlan) -> Option<Fragment<'_>> {
     }
 }
 
-/// Per-morsel partial work the exchange workers perform for the consumer.
-#[derive(Debug, Clone, Copy)]
-enum ExchangePartial<'a> {
-    /// Plain morsel-ordered append.
-    Append,
-    /// Worker-local duplicate elimination; the global `Distinct` downstream
-    /// removes cross-morsel duplicates.  Sound because a local dedupe only
-    /// drops rows that have an earlier equal within the same morsel — never
-    /// a global first occurrence.
-    Dedupe,
-    /// Worker-local stable top-k pruning; the downstream sort computes the
-    /// global top-k over the pruned merge.  Sound because a pruned row is
-    /// beaten (under the stable order) by `k` rows of its own morsel, all
-    /// of which also beat it globally.
-    TopK { keys: &'a [(usize, bool)], k: usize },
-}
-
 /// The output of one morsel run through a fragment.
 pub(crate) struct MorselRun<'a> {
     pub(crate) rows: Vec<RowRef<'a>>,
     /// First evaluation error, terminating the morsel at its position.
     pub(crate) error: Option<BeasError>,
-    /// Base rows read (== the morsel length; whole morsels are processed).
+    /// Base rows read: the morsel length, unless an error or a quota trip
+    /// ended the morsel early.
     pub(crate) scanned: u64,
     /// Rows produced by each fragment operator, aligned with
     /// [`Fragment::ops`].
@@ -596,10 +475,9 @@ pub(crate) struct MorselRun<'a> {
 /// Run `frag` over one morsel (a slice of one storage segment).  With
 /// `dedupe`, rows that duplicate an earlier row of the same morsel are
 /// dropped.  With `quota`, one tuple is charged *before* each row is
-/// evaluated — the serial scan's interleaving, so the trip point and the
-/// ordering of quota trips versus evaluation errors match the serial pull
-/// pipeline exactly (the parallel exchange charges per morsel instead and
-/// passes `None`).
+/// evaluated — the row scan's interleaving, so the trip point and the
+/// ordering of quota trips versus evaluation errors match the pull pipeline
+/// exactly.
 pub(crate) fn run_fragment_morsel<'a>(
     frag: &Fragment<'a>,
     morsel: &'a [Row],
@@ -658,520 +536,16 @@ pub(crate) fn run_fragment_morsel<'a>(
     run
 }
 
-/// A parallel-eligible leaf fragment paired with its table's morsel slices
-/// (each inside one storage segment, in physical-id order).
-type EligibleFragment<'a> = (Fragment<'a>, Vec<&'a [Row]>);
-
-/// The shared eligibility gate of every parallel operator: the parallel
-/// path is on, `plan` is a leaf fragment, the *estimated* input (memoized
-/// statistics — no rescan) clears the planner threshold, and the table
-/// splits into at least two morsels.  Returns the fragment and the table's
-/// morsel slices when all gates pass.
-fn eligible_fragment<'a>(
-    plan: &'a LogicalPlan,
-    ctx: BuildCtx<'a>,
-) -> Result<Option<EligibleFragment<'a>>> {
-    let cfg = ctx.parallel;
-    let (true, Some(db)) = (cfg.enabled(), ctx.db) else {
-        return Ok(None);
-    };
-    let Some(frag) = leaf_fragment(plan) else {
-        return Ok(None);
-    };
-    if crate::planner::estimated_scan_rows(db, frag.table) < cfg.min_rows {
-        return Ok(None);
-    }
-    let morsels = db.table(frag.table)?.morsel_slices(cfg.morsel_rows);
-    if morsels.len() < 2 {
-        return Ok(None);
-    }
-    Ok(Some((frag, morsels)))
-}
-
-/// Record a fragment's per-operator counters under their serial labels
-/// (summed across morsels, so `tuples accessed` totals agree with the
-/// serial pipeline), followed by the exchange's scheduling stats.
-fn record_fragment_metrics(
-    frag: &Fragment<'_>,
-    scanned: u64,
-    op_rows_out: &[u64],
-    stats: &MorselStats,
-    exchange_rows: u64,
-    exchange_elapsed: Duration,
-    metrics: &mut ExecutionMetrics,
-) {
-    metrics.record(frag.scan_label.clone(), scanned, scanned, Duration::ZERO);
-    for (op, n) in frag.ops.iter().zip(op_rows_out) {
-        match op {
-            FragOp::Filter(pred) => {
-                metrics.record(format!("Filter({pred})"), *n, 0, Duration::ZERO)
-            }
-            FragOp::Project(_) => metrics.record("Project", *n, 0, Duration::ZERO),
-        }
-    }
-    metrics.record(
-        format!("Exchange({stats})"),
-        exchange_rows,
-        0,
-        exchange_elapsed,
-    );
-}
-
-/// Build an [`ExchangeOp`] over `plan` if it is an eligible fragment
-/// ([`eligible_fragment`]) and a lazy consumer either brings a whole-morsel
-/// quota or inhibits the exchange (small limits keep the serial lazy
-/// prefix).
-fn try_exchange<'a>(
-    plan: &'a LogicalPlan,
-    limit: Option<usize>,
-    ctx: BuildCtx<'a>,
-    partial: ExchangePartial<'a>,
-) -> Result<Option<BoxedOperator<'a>>> {
-    let cfg = ctx.parallel;
-    let Some((frag, morsels)) = eligible_fragment(plan, ctx)? else {
-        return Ok(None);
-    };
-    let quota = if ctx.lazy {
-        match limit {
-            Some(k) if k >= cfg.morsel_rows => Some(k),
-            _ => return Ok(None),
-        }
-    } else {
-        None
-    };
-    // Whether the kernels cover the fragment; worker morsels then take the
-    // vectorized path (subject to the profile's per-morsel forcing).
-    let covered =
-        ctx.exec.vectorized() && kernels_cover(&frag, ctx.table(frag.table)?.schema().arity());
-    Ok(Some(Box::new(ExchangeOp {
-        frag,
-        morsels,
-        cfg,
-        covered,
-        exec: ctx.exec,
-        quota,
-        session_quota: ctx.quota,
-        partial,
-        started: false,
-        out: Vec::new().into_iter(),
-        tail_error: None,
-        scanned: 0,
-        op_rows_out: Vec::new(),
-        rows_out: 0,
-        stats: MorselStats::default(),
-        elapsed: Duration::ZERO,
-        timer: OpTimer::new(ctx.timing),
-    })))
-}
-
-/// The morsel-parallel exchange: runs a leaf fragment over the morsels of
-/// its base table on scoped worker threads and replays the outputs in
-/// morsel order.
-///
-/// Determinism: the queue hands morsels out in ascending order and the
-/// merge sorts by morsel index, so the replayed row sequence — and the
-/// position at which a propagated error surfaces — is identical to a serial
-/// left-to-right run.  A worker that hits an evaluation error stops the
-/// queue; every earlier morsel is already claimed (ordered hand-out) and
-/// finishes, so the first error in row order is always found.
-struct ExchangeOp<'a> {
-    frag: Fragment<'a>,
-    /// The table's morsel slices; morsel `i` of the queue is slice `i`.
-    morsels: Vec<&'a [Row]>,
-    cfg: ParallelConfig,
-    /// Whether the columnar kernels cover the fragment (static fallback
-    /// gate; see [`run_morsel_auto`]).
-    covered: bool,
-    exec: ExecProfile,
-    /// Streaming-LIMIT quota: stop claiming morsels once this many
-    /// surviving rows exist across workers.
-    quota: Option<usize>,
-    /// Session resource quota: each worker charges a whole morsel's rows
-    /// before running it, so a trip stops the queue at morsel granularity.
-    session_quota: Option<&'a QuotaTracker>,
-    partial: ExchangePartial<'a>,
-    started: bool,
-    out: std::vec::IntoIter<RowRef<'a>>,
-    /// Error terminating the replay, after the rows that precede it.
-    tail_error: Option<BeasError>,
-    scanned: u64,
-    op_rows_out: Vec<u64>,
-    rows_out: u64,
-    stats: MorselStats,
-    elapsed: Duration,
-    timer: OpTimer,
-}
-
-impl<'a> ExchangeOp<'a> {
-    /// Blocking phase: scatter the morsels across workers, merge in order.
-    fn run(&mut self) {
-        let start = clock::now();
-        let morsels = self.morsels.len();
-        let queue = match self.quota {
-            Some(k) => MorselQueue::with_quota(morsels, k),
-            None => MorselQueue::new(morsels),
-        };
-        let workers = self.cfg.workers.min(morsels);
-        let frag = &self.frag;
-        let slices: &[&'a [Row]] = &self.morsels;
-        let partial = self.partial;
-        let covered = self.covered;
-        let exec = self.exec;
-        let session_quota = self.session_quota;
-        let queue_ref = &queue;
-        let outcome = scatter(queue_ref, workers, move |i| {
-            let morsel = slices[i];
-            // Session-quota charge at morsel granularity: a trip aborts
-            // this morsel before any row work and stops the queue, exactly
-            // like an evaluation error.
-            if let Some(q) = session_quota {
-                if let Err(e) = q.charge_tuples(morsel.len() as u64) {
-                    queue_ref.stop();
-                    return MorselRun {
-                        rows: Vec::new(),
-                        error: Some(e),
-                        scanned: 0,
-                        op_rows_out: vec![0; frag.ops.len()],
-                    };
-                }
-            }
-            let mut run = run_morsel_auto(
-                frag,
-                covered,
-                exec,
-                i,
-                morsel,
-                matches!(partial, ExchangePartial::Dedupe),
-            );
-            if run.error.is_some() {
-                // Later morsels cannot hold the first error in row order.
-                queue_ref.stop();
-            } else if let ExchangePartial::TopK { keys, k } = partial {
-                if k < run.rows.len() {
-                    let rows = std::mem::take(&mut run.rows);
-                    run.rows = top_k_by(rows, k, |a, b| sort_cmp(a, b, keys));
-                }
-            }
-            queue_ref.note_rows(run.rows.len());
-            run
-        });
-        self.stats = MorselStats {
-            morsels_per_worker: outcome
-                .morsels_per_worker
-                .iter()
-                .map(|&n| n as u64)
-                .collect(),
-            total_morsels: morsels as u64,
-        };
-        self.op_rows_out = vec![0; self.frag.ops.len()];
-        let mut merged: Vec<RowRef<'a>> = Vec::new();
-        for run in outcome.results {
-            self.scanned += run.scanned;
-            for (slot, n) in self.op_rows_out.iter_mut().zip(&run.op_rows_out) {
-                *slot += n;
-            }
-            merged.extend(run.rows);
-            if let Some(e) = run.error {
-                self.tail_error = Some(e);
-                break;
-            }
-        }
-        self.out = merged.into_iter();
-        self.elapsed = start.elapsed();
-    }
-}
-
-impl<'a> ExchangeOp<'a> {
-    fn advance(&mut self) -> Result<Option<RowRef<'a>>> {
-        if !self.started {
-            self.started = true;
-            self.run();
-        }
-        if let Some(row) = self.out.next() {
-            self.rows_out += 1;
-            return Ok(Some(row));
-        }
-        match self.tail_error.take() {
-            Some(e) => Err(e),
-            None => Ok(None),
-        }
-    }
-}
-
-timed_next!(ExchangeOp);
-
-impl<'a> Operator<'a> for ExchangeOp<'a> {
-    fn record(&mut self, metrics: &mut ExecutionMetrics) {
-        record_fragment_metrics(
-            &self.frag,
-            self.scanned,
-            &self.op_rows_out,
-            &self.stats,
-            self.rows_out,
-            self.timer.or_fallback(self.elapsed),
-            metrics,
-        );
-    }
-}
-
-/// Whether every aggregate's partition-merge is bit-exact — answers *and*
-/// errors identical to the serial fold — making morsel-parallel aggregation
-/// admissible.  Only `COUNT`/`MIN`/`MAX` qualify: set insertion, counting
-/// and `total_cmp` are associative, commutative and infallible.  `SUM` is
-/// excluded even over integers — float addition re-associates, and checked
-/// `i64` addition is not associative in its *overflow* behavior (a
-/// transient overflow the serial left-to-right fold raises can vanish when
-/// the same values are summed per-partition) — and `AVG` sums internally.
-/// Excluded aggregates still benefit from a plain exchange under the
-/// serial fold.
-fn merge_exact(aggregates: &[BoundAggregate]) -> bool {
-    aggregates.iter().all(|a| {
-        matches!(
-            a.func,
-            beas_sql::AggregateFunction::Count
-                | beas_sql::AggregateFunction::Min
-                | beas_sql::AggregateFunction::Max
-        )
-    })
-}
-
-/// The outcome of folding one morsel: fragment metrics plus either the
-/// partial groups or the first error.
-struct MorselAggRun {
-    /// First fragment-evaluation error (scan/filter/project phase).
-    frag_error: Option<BeasError>,
-    /// Partial per-group state, or the first aggregation-phase error.
-    partial: Option<Result<GroupedPartial>>,
-    /// Fragment output rows folded into the partial.
-    rows: u64,
-    scanned: u64,
-    op_rows_out: Vec<u64>,
-}
-
-/// Build a [`ParallelAggregateOp`] over `input` if it is an eligible
-/// fragment ([`eligible_fragment`]; aggregation always drains, so no quota
-/// applies).
-fn try_parallel_aggregate<'a>(
-    input: &'a LogicalPlan,
-    ctx: BuildCtx<'a>,
-    group_by: &'a [BoundExpr],
-    aggregates: &'a [BoundAggregate],
-) -> Result<Option<BoxedOperator<'a>>> {
-    let cfg = ctx.parallel;
-    let Some((frag, morsels)) = eligible_fragment(input, ctx)? else {
-        return Ok(None);
-    };
-    let covered =
-        ctx.exec.vectorized() && kernels_cover(&frag, ctx.table(frag.table)?.schema().arity());
-    Ok(Some(Box::new(ParallelAggregateOp {
-        frag,
-        morsels,
-        cfg,
-        covered,
-        exec: ctx.exec,
-        session_quota: ctx.quota,
-        group_by,
-        aggregates,
-        started: false,
-        out: Vec::new().into_iter(),
-        scanned: 0,
-        op_rows_out: Vec::new(),
-        frag_rows: 0,
-        rows_out: 0,
-        stats: MorselStats::default(),
-        elapsed: Duration::ZERO,
-        pending_error: None,
-        timer: OpTimer::new(ctx.timing),
-    })))
-}
-
-/// Morsel-parallel group-and-aggregate: each worker folds its morsels into
-/// per-group [`Accumulator`]s; the partials merge group-wise in morsel
-/// order, which reproduces the serial first-seen group order exactly.
-///
-/// Error ordering mirrors the serial two-phase shape (drain input, then
-/// aggregate): a fragment error anywhere precedes an aggregation error
-/// anywhere, and within each phase the first error in morsel order wins.
-/// Workers keep claiming after an aggregation error (only a *fragment*
-/// error stops the queue) so that an earlier fragment error is never
-/// missed.
-struct ParallelAggregateOp<'a> {
-    frag: Fragment<'a>,
-    /// The table's morsel slices; morsel `i` of the queue is slice `i`.
-    morsels: Vec<&'a [Row]>,
-    cfg: ParallelConfig,
-    /// Whether the columnar kernels cover the fragment.
-    covered: bool,
-    exec: ExecProfile,
-    /// Session resource quota, charged per morsel like [`ExchangeOp`]'s.
-    session_quota: Option<&'a QuotaTracker>,
-    group_by: &'a [BoundExpr],
-    aggregates: &'a [BoundAggregate],
-    started: bool,
-    out: std::vec::IntoIter<Row>,
-    scanned: u64,
-    op_rows_out: Vec<u64>,
-    /// Fragment rows merged into the aggregation (the Exchange's output).
-    frag_rows: u64,
-    rows_out: u64,
-    stats: MorselStats,
-    elapsed: Duration,
-    pending_error: Option<BeasError>,
-    timer: OpTimer,
-}
-
-impl ParallelAggregateOp<'_> {
-    fn run(&mut self) -> Result<Vec<Row>> {
-        let start = clock::now();
-        let morsels = self.morsels.len();
-        let queue = MorselQueue::new(morsels);
-        let workers = self.cfg.workers.min(morsels);
-        let frag = &self.frag;
-        let slices = self.morsels.as_slice();
-        let group_by = self.group_by;
-        let aggregates = self.aggregates;
-        let covered = self.covered;
-        let exec = self.exec;
-        let session_quota = self.session_quota;
-        let queue_ref = &queue;
-        let outcome = scatter(queue_ref, workers, move |i| {
-            let morsel = slices[i];
-            if let Some(q) = session_quota {
-                if let Err(e) = q.charge_tuples(morsel.len() as u64) {
-                    queue_ref.stop();
-                    return MorselAggRun {
-                        frag_error: Some(e),
-                        partial: None,
-                        rows: 0,
-                        scanned: 0,
-                        op_rows_out: vec![0; frag.ops.len()],
-                    };
-                }
-            }
-            let mut run = run_morsel_auto(frag, covered, exec, i, morsel, false);
-            let partial = match run.error {
-                Some(_) => {
-                    // The first row-order error lives in this or an earlier
-                    // (already claimed) morsel: stop the tail.
-                    queue_ref.stop();
-                    None
-                }
-                None => Some(aggregate_partial(&run.rows, group_by, aggregates)),
-            };
-            MorselAggRun {
-                frag_error: run.error.take(),
-                partial,
-                rows: run.rows.len() as u64,
-                scanned: run.scanned,
-                op_rows_out: std::mem::take(&mut run.op_rows_out),
-            }
-        });
-        self.stats = MorselStats {
-            morsels_per_worker: outcome
-                .morsels_per_worker
-                .iter()
-                .map(|&n| n as u64)
-                .collect(),
-            total_morsels: morsels as u64,
-        };
-        self.op_rows_out = vec![0; self.frag.ops.len()];
-        let mut partials = Vec::with_capacity(outcome.results.len());
-        for mut run in outcome.results {
-            self.scanned += run.scanned;
-            self.frag_rows += run.rows;
-            for (slot, n) in self.op_rows_out.iter_mut().zip(&run.op_rows_out) {
-                *slot += n;
-            }
-            if let Some(e) = run.frag_error.take() {
-                // Serial shape: the input drain errors before any
-                // aggregation runs.
-                return Err(e);
-            }
-            partials.push(run.partial.expect("partial present without error"));
-        }
-        // Merge the per-morsel groups in morsel order: first-seen group
-        // order and per-group accumulation both reproduce the serial fold.
-        let mut merged = GroupedPartial::default();
-        for partial in partials {
-            let mut partial = partial?;
-            for key in partial.order.drain(..) {
-                let accs = partial
-                    .groups
-                    .remove(&key)
-                    .ok_or_else(|| BeasError::execution("group lost during partial merge"))?;
-                match merged.groups.get_mut(&key) {
-                    Some(existing) => {
-                        for (mine, other) in existing.iter_mut().zip(&accs) {
-                            mine.merge(other)?;
-                        }
-                    }
-                    None => {
-                        merged.order.push(key.clone());
-                        merged.groups.insert(key, accs);
-                    }
-                }
-            }
-        }
-        let rows = finish_grouped(merged, self.group_by, self.aggregates)?;
-        self.elapsed = start.elapsed();
-        Ok(rows)
-    }
-}
-
-impl<'a> ParallelAggregateOp<'a> {
-    fn advance(&mut self) -> Result<Option<RowRef<'a>>> {
-        if !self.started {
-            self.started = true;
-            match self.run() {
-                Ok(rows) => self.out = rows.into_iter(),
-                Err(e) => self.pending_error = Some(e),
-            }
-        }
-        if let Some(e) = self.pending_error.take() {
-            return Err(e);
-        }
-        match self.out.next() {
-            Some(row) => {
-                self.rows_out += 1;
-                Ok(Some(RowRef::owned(row)))
-            }
-            None => Ok(None),
-        }
-    }
-}
-
-timed_next!(ParallelAggregateOp);
-
-impl<'a> Operator<'a> for ParallelAggregateOp<'a> {
-    fn record(&mut self, metrics: &mut ExecutionMetrics) {
-        record_fragment_metrics(
-            &self.frag,
-            self.scanned,
-            &self.op_rows_out,
-            &self.stats,
-            self.frag_rows,
-            Duration::ZERO,
-            metrics,
-        );
-        metrics.record(
-            "HashAggregate",
-            self.rows_out,
-            0,
-            self.timer.or_fallback(self.elapsed),
-        );
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Serial vectorized scan
+// Columnar scan
 // ---------------------------------------------------------------------------
 
 /// Build a [`VectorizedScanOp`] over `plan` if the exec profile enables
 /// kernels, the consumer is not lazy (a LIMIT's lazy prefix must keep
 /// per-row pull granularity), `plan` is a leaf fragment with at least one
 /// operator (or a Distinct consumer wants the per-morsel pre-dedupe), and
-/// the kernels cover every fragment expression.  Unlike the exchange there
-/// is no minimum-size gate: batching pays for itself from the first morsel.
+/// the kernels cover every fragment expression.  There is no minimum-size
+/// gate: batching pays for itself from the first morsel.
 fn try_vectorized<'a>(
     plan: &'a LogicalPlan,
     ctx: BuildCtx<'a>,
@@ -1192,7 +566,7 @@ fn try_vectorized<'a>(
     if !kernels_cover(&frag, table.schema().arity()) {
         return Ok(None);
     }
-    let morsels = table.morsel_slices(ctx.parallel.morsel_rows);
+    let morsels = table.morsel_slices(ctx.morsel_rows);
     let ops = frag.ops.len();
     Ok(Some(Box::new(VectorizedScanOp {
         frag,
@@ -1212,18 +586,18 @@ fn try_vectorized<'a>(
     })))
 }
 
-/// Serial columnar execution of a leaf fragment: morsels are evaluated one
+/// Columnar execution of a leaf fragment: morsels are evaluated one
 /// batch at a time through the kernels, with per-morsel fallback to the row
 /// path (kernel error, or the [`ExecProfile::Alternating`] profile's forced
 /// row morsels).
 ///
-/// Quota discipline reproduces the serial scan's accounting exactly.  A
+/// Quota discipline reproduces the row scan's accounting exactly.  A
 /// kernel morsel is evaluated first and then charged one tuple per base row
-/// — the same cumulative counts and the same trip point as the serial
+/// — the same cumulative counts and the same trip point as the row scan's
 /// per-pull charge — and a trip discards the morsel's output before
 /// anything is emitted (partial output never escapes
 /// [`execute`] on error, so the discard is unobservable).  A
-/// fallback morsel interleaves charge-then-evaluate per row like the serial
+/// fallback morsel interleaves charge-then-evaluate per row like the row
 /// pipeline, so the ordering of quota trips versus evaluation errors is
 /// preserved even mid-morsel.
 struct VectorizedScanOp<'a> {
@@ -1251,7 +625,7 @@ struct VectorizedScanOp<'a> {
 
 impl<'a> VectorizedScanOp<'a> {
     /// Run morsel `index` on whichever path the profile and the kernels
-    /// allow, with the serial quota discipline described on the type.
+    /// allow, with the quota discipline described on the type.
     fn run_morsel(&mut self, index: usize, morsel: &'a [Row]) -> MorselRun<'a> {
         if !self.exec.forces_row_path(index) {
             if let Some(run) = run_morsel_vectorized(&self.frag, morsel, self.dedupe) {
@@ -1297,7 +671,7 @@ impl<'a> VectorizedScanOp<'a> {
                 *slot += n;
             }
             // A morsel's surviving rows drain before its error surfaces —
-            // exactly the serial pipeline's row-then-error order.
+            // exactly the row pipeline's row-then-error order.
             self.out = run.rows.into_iter();
             self.pending_error = run.error;
         }
@@ -1308,7 +682,7 @@ timed_next!(VectorizedScanOp);
 
 impl<'a> Operator<'a> for VectorizedScanOp<'a> {
     fn record(&mut self, metrics: &mut ExecutionMetrics) {
-        // Serial labels with serial totals (`tuples accessed` == rows
+        // The row pipeline's labels and totals (`tuples accessed` == rows
         // scanned), then a marker line for the kernel path itself.
         metrics.record(
             self.frag.scan_label.clone(),
@@ -1347,8 +721,8 @@ struct ScanOp<'a> {
     label: String,
     produced: u64,
     /// Session quota: every pulled row is charged, so the scan — the only
-    /// serial operator touching base data — terminates the pipeline the
-    /// moment the budget trips.
+    /// row operator touching base data — terminates the pipeline the moment
+    /// the budget trips.
     quota: Option<&'a QuotaTracker>,
     timer: OpTimer,
 }
@@ -2011,95 +1385,6 @@ fn top_k_by<T>(items: Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Ordering)
     heap.into_iter().map(|(_, item)| item).collect()
 }
 
-/// Per-partition aggregation state: group keys in first-seen order plus
-/// per-group accumulators.  One partition of a morsel-parallel aggregation,
-/// or the whole input in the serial case.
-#[derive(Debug, Default)]
-struct GroupedPartial {
-    order: Vec<Vec<Value>>,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
-}
-
-/// Fold `rows` into per-group accumulators (the partial phase of
-/// aggregation; [`finish_grouped`] produces the output rows).
-fn aggregate_partial<R: beas_common::ValueRow>(
-    rows: &[R],
-    group_by: &[BoundExpr],
-    aggregates: &[BoundAggregate],
-) -> Result<GroupedPartial> {
-    aggregate_partial_with_quota(rows, group_by, aggregates, None)
-}
-
-/// [`aggregate_partial`] with a periodic deadline re-check: the fold is a
-/// blocking pass over the whole buffered input, so it checkpoints the
-/// session quota every [`BLOCKING_CHECK_ROWS`] rows.
-fn aggregate_partial_with_quota<R: beas_common::ValueRow>(
-    rows: &[R],
-    group_by: &[BoundExpr],
-    aggregates: &[BoundAggregate],
-    quota: Option<&QuotaTracker>,
-) -> Result<GroupedPartial> {
-    // Preserve first-seen group order for deterministic output.
-    let mut partial = GroupedPartial::default();
-    for (n, row) in rows.iter().enumerate() {
-        if n % BLOCKING_CHECK_ROWS == BLOCKING_CHECK_ROWS - 1 {
-            if let Some(q) = quota {
-                q.checkpoint()?;
-            }
-        }
-        let key: Vec<Value> = group_by
-            .iter()
-            .map(|e| evaluate(e, row))
-            .collect::<Result<_>>()?;
-        if !partial.groups.contains_key(&key) {
-            partial.order.push(key.clone());
-            let accs = aggregates
-                .iter()
-                .map(|a| Accumulator::new(a.func, a.distinct))
-                .collect();
-            partial.groups.insert(key.clone(), accs);
-        }
-        let accs = partial.groups.get_mut(&key).expect("group inserted above");
-        for (acc, agg) in accs.iter_mut().zip(aggregates) {
-            let v = match &agg.arg {
-                Some(a) => evaluate(a, row)?,
-                // COUNT(*): count every row, NULL-free marker value
-                None => Value::Int(1),
-            };
-            acc.update(&v)?;
-        }
-    }
-    Ok(partial)
-}
-
-/// Finish accumulated groups into output rows: group-key values followed by
-/// aggregate results, in first-seen group order.  A global aggregate over
-/// empty input still produces one row.
-fn finish_grouped(
-    mut partial: GroupedPartial,
-    group_by: &[BoundExpr],
-    aggregates: &[BoundAggregate],
-) -> Result<Vec<Row>> {
-    if group_by.is_empty() && partial.order.is_empty() {
-        let out_row: Row = aggregates
-            .iter()
-            .map(|a| Accumulator::new(a.func, a.distinct).finish())
-            .collect();
-        return Ok(vec![out_row]);
-    }
-    let mut out = Vec::with_capacity(partial.order.len());
-    for key in partial.order {
-        let accs = partial
-            .groups
-            .remove(&key)
-            .ok_or_else(|| BeasError::execution("group disappeared during aggregation"))?;
-        let mut row = key;
-        row.extend(accs.iter().map(|a| a.finish()));
-        out.push(row);
-    }
-    Ok(out)
-}
-
 /// Group rows by `group_by` expressions and evaluate `aggregates` per group.
 /// Output rows are group-key values followed by aggregate results.
 ///
@@ -2115,18 +1400,59 @@ pub fn aggregate<R: beas_common::ValueRow>(
 
 /// [`aggregate`] with a session quota whose deadline is re-checked every
 /// `BLOCKING_CHECK_ROWS` rows of the fold — the blocking-operator arm of
-/// cooperative cancellation.
+/// cooperative cancellation.  Groups come out in first-seen order; a global
+/// aggregate over empty input still produces one row.
 pub fn aggregate_with_quota<R: beas_common::ValueRow>(
     rows: &[R],
     group_by: &[BoundExpr],
     aggregates: &[BoundAggregate],
     quota: Option<&QuotaTracker>,
 ) -> Result<Vec<Row>> {
-    finish_grouped(
-        aggregate_partial_with_quota(rows, group_by, aggregates, quota)?,
-        group_by,
-        aggregates,
-    )
+    let new_accs = || -> Vec<Accumulator> {
+        aggregates
+            .iter()
+            .map(|a| Accumulator::new(a.func, a.distinct))
+            .collect()
+    };
+    let mut order: Vec<Vec<Value>> = Vec::new();
+    let mut groups: HashMap<Vec<Value>, Vec<Accumulator>> = HashMap::new();
+    for (n, row) in rows.iter().enumerate() {
+        if n % BLOCKING_CHECK_ROWS == BLOCKING_CHECK_ROWS - 1 {
+            if let Some(q) = quota {
+                q.checkpoint()?;
+            }
+        }
+        let key: Vec<Value> = group_by
+            .iter()
+            .map(|e| evaluate(e, row))
+            .collect::<Result<_>>()?;
+        if !groups.contains_key(&key) {
+            order.push(key.clone());
+            groups.insert(key.clone(), new_accs());
+        }
+        let accs = groups.get_mut(&key).expect("group inserted above");
+        for (acc, agg) in accs.iter_mut().zip(aggregates) {
+            let v = match &agg.arg {
+                Some(a) => evaluate(a, row)?,
+                // COUNT(*): count every row, NULL-free marker value
+                None => Value::Int(1),
+            };
+            acc.update(&v)?;
+        }
+    }
+    if group_by.is_empty() && order.is_empty() {
+        return Ok(vec![new_accs().iter().map(Accumulator::finish).collect()]);
+    }
+    let mut out = Vec::with_capacity(order.len());
+    for key in order {
+        let accs = groups
+            .remove(&key)
+            .ok_or_else(|| BeasError::execution("group disappeared during aggregation"))?;
+        let mut row = key;
+        row.extend(accs.iter().map(Accumulator::finish));
+        out.push(row);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -2460,9 +1786,8 @@ mod tests {
         assert!(out2.is_empty());
     }
 
-    /// A database with one `n`-row table of mixed-type values for the
-    /// parallel-path tests.
-    fn parallel_db(n: i64) -> Database {
+    /// A database with one `n`-row table of mixed-type values.
+    fn int_table_db(n: i64) -> Database {
         use beas_common::{ColumnDef, DataType, TableSchema};
         let mut db = Database::new();
         db.create_table(
@@ -2491,231 +1816,40 @@ mod tests {
         db
     }
 
-    /// A config that forces the parallel path on tiny tables: 2 workers,
-    /// 8-row morsels, no planner threshold.
-    fn tiny_morsels() -> ParallelConfig {
-        ParallelConfig {
-            workers: 2,
-            min_rows: 0,
-            morsel_rows: 8,
-        }
-    }
-
-    fn run_both(
-        db: &Database,
-        sql: &str,
-    ) -> (crate::engine::QueryResult, crate::engine::QueryResult) {
-        let serial = crate::engine::Engine::default()
-            .with_parallelism(ParallelConfig::serial())
-            .run(db, sql)
-            .unwrap();
-        let parallel = crate::engine::Engine::default()
-            .with_parallelism(tiny_morsels())
-            .run(db, sql)
-            .unwrap();
-        (serial, parallel)
-    }
-
     #[test]
-    fn exchange_matches_serial_rows_order_and_accounting() {
-        let db = parallel_db(100);
-        let sql = "select id, v from t where v > 40";
-        let (serial, parallel) = run_both(&db, sql);
-        assert_eq!(serial.rows, parallel.rows, "rows and order must agree");
-        // un-limited fragments read every row on both paths
-        assert_eq!(
-            serial.metrics.total_tuples_accessed(),
-            parallel.metrics.total_tuples_accessed()
-        );
-        // the parallel plan reports the exchange with its worker stats
-        let render = parallel.metrics.render();
-        assert!(render.contains("Exchange(workers="), "{render}");
-        assert!(render.contains("SeqScan(t)"), "{render}");
-        assert!(!serial.metrics.render().contains("Exchange"));
-    }
-
-    #[test]
-    fn exchange_distinct_and_topk_match_serial() {
-        let db = parallel_db(120);
-        for sql in [
-            "select distinct grp from t",
-            "select distinct grp, v from t order by grp, v",
-            "select v, id from t order by v desc, id limit 7",
-            "select distinct v from t order by v limit 5",
-        ] {
-            let (serial, parallel) = run_both(&db, sql);
-            assert_eq!(serial.rows, parallel.rows, "{sql}");
-        }
-    }
-
-    #[test]
-    fn parallel_aggregate_merges_partials_in_group_order() {
-        let db = parallel_db(150);
-        let sql = "select grp, count(*), min(v), max(v), count(distinct v) \
-                   from t group by grp";
-        let (serial, parallel) = run_both(&db, sql);
-        // first-seen group order must survive the per-morsel merge
-        assert_eq!(serial.rows, parallel.rows);
-        assert!(parallel.metrics.render().contains("HashAggregate"));
-        // global aggregate over the same fragment
-        let (s2, p2) = run_both(&db, "select count(*), min(v) from t where v > 10");
-        assert_eq!(s2.rows, p2.rows);
-    }
-
-    #[test]
-    fn sum_and_avg_are_not_morsel_merged() {
-        // SUM/AVG re-associate additions under partial merging — float
-        // rounding and checked-integer overflow are both order-sensitive —
-        // so the gate must keep them on the serial fold (the fragment below
-        // may still run through a plain exchange).  Answers must stay
-        // bit-identical between configurations.
-        let db = parallel_db(100);
-        for sql in [
-            "select grp, avg(v) from t group by grp",
-            "select grp, sum(v) from t group by grp",
-            "select sum(v), count(*) from t where v > 10",
-        ] {
-            let (serial, parallel) = run_both(&db, sql);
-            assert_eq!(serial.rows, parallel.rows, "{sql}");
-        }
-    }
-
-    #[test]
-    fn integer_sum_overflow_errors_identically_on_both_paths() {
-        // Checked i64 addition is not associative in its overflow
-        // behavior: a serial left-to-right fold that overflows transiently
-        // would succeed under per-morsel partial sums.  The merge gate
-        // excludes SUM, so both paths run the same serial fold and raise
-        // the same overflow error.
+    fn integer_sum_overflow_is_an_error() {
+        // Checked i64 addition: the left-to-right fold reaches MAX + 1 and
+        // must fail, not wrap or saturate.
         use beas_common::{ColumnDef, DataType, TableSchema};
         let mut db = Database::new();
         db.create_table(TableSchema::new("t", vec![ColumnDef::new("v", DataType::Int)]).unwrap())
             .unwrap();
-        // morsel 1 (rows 0..8 under 8-row morsels) sums to i64::MAX; a
-        // later morsel holds [1, -2]: serial hits MAX + 1 and overflows
-        db.insert("t", vec![Value::Int(i64::MAX)]).unwrap();
-        for _ in 1..8 {
-            db.insert("t", vec![Value::Int(0)]).unwrap();
-        }
-        for v in [1i64, -2] {
+        for v in [i64::MAX, 0, 1, -2] {
             db.insert("t", vec![Value::Int(v)]).unwrap();
         }
-        for _ in 0..10 {
-            db.insert("t", vec![Value::Int(0)]).unwrap();
-        }
-        let sql = "select sum(v) from t";
-        let serial = crate::engine::Engine::default()
-            .with_parallelism(ParallelConfig::serial())
-            .run(&db, sql)
-            .expect_err("serial overflow");
-        let parallel = crate::engine::Engine::default()
-            .with_parallelism(tiny_morsels())
-            .run(&db, sql)
-            .expect_err("parallel must overflow identically");
-        assert_eq!(serial.kind(), parallel.kind());
+        let err = crate::engine::Engine::default()
+            .run(&db, "select sum(v) from t")
+            .expect_err("the sum overflows");
+        assert_eq!(err.kind(), "execution");
+        assert!(err.to_string().contains("integer overflow"), "{err}");
     }
 
     #[test]
-    fn exchange_propagates_the_first_error_in_row_order() {
-        use beas_common::{ColumnDef, DataType, TableSchema};
-        let mut db = Database::new();
-        db.create_table(
-            TableSchema::new(
-                "t",
-                vec![
-                    ColumnDef::new("id", DataType::Int),
-                    ColumnDef::new("s", DataType::Str),
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        for i in 0..80 {
-            db.insert("t", vec![Value::Int(i), Value::str("x")])
-                .unwrap();
-        }
-        // `s > 5` is a type error on every row: both paths must fail with
-        // the same error kind.
-        let sql = "select id from t where s > 5";
-        let serial = crate::engine::Engine::default()
-            .with_parallelism(ParallelConfig::serial())
-            .run(&db, sql)
-            .expect_err("serial type error");
-        let parallel = crate::engine::Engine::default()
-            .with_parallelism(tiny_morsels())
-            .run(&db, sql)
-            .expect_err("parallel type error");
-        assert_eq!(serial.kind(), parallel.kind());
-    }
-
-    #[test]
-    fn exchange_quota_stops_claiming_morsels_under_a_big_limit() {
-        let db = parallel_db(200);
-        // limit >= morsel_rows engages the quota path (small limits stay on
-        // the serial lazy prefix)
-        let sql = "select id from t where v >= 0 limit 20";
-        let serial = crate::engine::Engine::default()
-            .with_parallelism(ParallelConfig::serial())
-            .run(&db, sql)
-            .unwrap();
-        let parallel = crate::engine::Engine::default()
-            .with_parallelism(tiny_morsels())
-            .run(&db, sql)
-            .unwrap();
-        assert_eq!(serial.rows, parallel.rows);
-        assert_eq!(parallel.rows.len(), 20);
-        // the quota stopped the scan before the whole table was read (the
-        // filter passes everything, so 200 rows are available but ~3-4
-        // morsels suffice; racing workers may claim a few extra)
-        let scan = parallel
-            .metrics
-            .operators
-            .iter()
-            .find(|o| o.operator.starts_with("SeqScan"))
-            .unwrap();
-        assert!(
-            scan.tuples_accessed < 200,
-            "quota failed to stop the parallel scan: read {}",
-            scan.tuples_accessed
-        );
-    }
-
-    #[test]
-    fn small_limits_inhibit_the_exchange() {
-        let db = parallel_db(200);
-        // limit < morsel_rows: the serial lazy prefix must win — no
-        // exchange, and the scan reads only the demanded prefix
-        let result = crate::engine::Engine::default()
-            .with_parallelism(tiny_morsels())
-            .run(&db, "select id from t where v >= 0 limit 3")
-            .unwrap();
-        assert_eq!(result.rows.len(), 3);
-        assert!(!result.metrics.render().contains("Exchange"));
-        let scan = result
-            .metrics
-            .operators
-            .iter()
-            .find(|o| o.operator.starts_with("SeqScan"))
-            .unwrap();
-        assert!(scan.tuples_accessed <= 4);
-    }
-
-    #[test]
-    fn session_quota_trips_serial_and_parallel_scans() {
+    fn session_quota_trips_the_scan() {
         use beas_common::ResourceQuota;
-        let db = parallel_db(200);
+        let db = int_table_db(200);
         let sql = "select id from t where v >= 0";
-        for cfg in [ParallelConfig::serial(), tiny_morsels()] {
+        for exec in ExecProfile::all() {
             let tracker = ResourceQuota::unlimited().with_max_tuples(50).tracker();
             let err = crate::engine::Engine::default()
-                .with_parallelism(cfg)
+                .with_exec_profile(exec)
                 .run_with_quota(&db, sql, Some(&tracker))
                 .expect_err("a 50-tuple quota cannot survive a 200-row scan");
             assert_eq!(err.kind(), "quota_exceeded");
             assert!(tracker.is_tripped());
-            // cooperative: the trip is observed within one scheduling
-            // quantum (a morsel on the parallel path), never a full table
-            assert!(tracker.tuples_used() < 200, "{}", tracker.tuples_used());
+            // the charge that tripped is the last one: the scan stops at
+            // the budget, never a full table
+            assert_eq!(tracker.tuples_used(), 51, "{exec}");
         }
         // a sufficient quota answers normally and accounts for every access
         let tracker = ResourceQuota::unlimited().with_max_tuples(10_000).tracker();

@@ -24,16 +24,10 @@ pub(crate) mod vectorized;
 
 pub use analyze::{analyze_tree, AnalyzeNode};
 pub use engine::{Engine, EngineAnalysis, QueryResult};
-pub use executor::{
-    aggregate, execute, ExecOptions, Input, ParallelConfig, PARALLEL_SCAN_MAX_WORKERS,
-    PARALLEL_SCAN_MIN_ROWS,
-};
+pub use executor::{aggregate, execute, ExecOptions, Input, ParallelConfig};
 pub use metrics::{
-    format_duration, ExecutionMetrics, MorselStats, OperatorMetrics, PlanCacheOutcome,
-    PlanCacheStats,
+    format_duration, ExecutionMetrics, OperatorMetrics, PlanCacheOutcome, PlanCacheStats,
 };
 pub use plan::{JoinAlgorithm, LogicalPlan};
-pub use planner::{
-    conjoin_bound, estimated_scan_rows, finalize_plan, remap_expr, split_bound_conjuncts, Planner,
-};
+pub use planner::{conjoin_bound, finalize_plan, remap_expr, split_bound_conjuncts, Planner};
 pub use profile::{ExecProfile, OptimizerProfile};

@@ -180,55 +180,6 @@ impl fmt::Display for PlanCacheStats {
     }
 }
 
-/// Per-worker scheduling counters of one morsel-parallel exchange — the
-/// Exchange analogue of [`PlanCacheStats`]: small copy-out counters that the
-/// executor renders into the per-operator breakdown
-/// (`Exchange(workers=2, morsels=7/8 [4+3])`).
-///
-/// `morsels_per_worker[i]` is the number of morsels worker `i` claimed; the
-/// sum can fall short of `total_morsels` when a `LIMIT` quota or an error
-/// stopped the queue early.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct MorselStats {
-    /// Morsels processed by each worker, in worker order.
-    pub morsels_per_worker: Vec<u64>,
-    /// Morsels the input was split into.
-    pub total_morsels: u64,
-}
-
-impl MorselStats {
-    /// Number of workers that participated.
-    pub fn workers(&self) -> usize {
-        self.morsels_per_worker.len()
-    }
-
-    /// Morsels actually processed (`<= total_morsels` under early stop).
-    pub fn morsels_processed(&self) -> u64 {
-        self.morsels_per_worker.iter().sum()
-    }
-}
-
-impl fmt::Display for MorselStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "workers={}, morsels={}/{}",
-            self.workers(),
-            self.morsels_processed(),
-            self.total_morsels
-        )?;
-        if self.workers() > 1 {
-            let split: Vec<String> = self
-                .morsels_per_worker
-                .iter()
-                .map(|n| n.to_string())
-                .collect();
-            write!(f, " [{}]", split.join("+"))?;
-        }
-        Ok(())
-    }
-}
-
 /// Format a duration with millisecond precision (matching the paper's
 /// "96.13ms" style reporting).
 pub fn format_duration(d: Duration) -> String {
@@ -270,25 +221,6 @@ mod tests {
         assert_eq!(format_duration(Duration::from_micros(96_130)), "96.13ms");
         assert_eq!(format_duration(Duration::from_millis(1500)), "1.50s");
         assert!(format!("{}", ExecutionMetrics::new()).contains("operator"));
-    }
-
-    #[test]
-    fn morsel_stats_render() {
-        let empty = MorselStats::default();
-        assert_eq!(empty.workers(), 0);
-        assert_eq!(empty.morsels_processed(), 0);
-        let stats = MorselStats {
-            morsels_per_worker: vec![4, 3],
-            total_morsels: 8,
-        };
-        assert_eq!(stats.workers(), 2);
-        assert_eq!(stats.morsels_processed(), 7);
-        assert_eq!(stats.to_string(), "workers=2, morsels=7/8 [4+3]");
-        let serial = MorselStats {
-            morsels_per_worker: vec![5],
-            total_morsels: 5,
-        };
-        assert_eq!(serial.to_string(), "workers=1, morsels=5/5");
     }
 
     #[test]

@@ -377,14 +377,6 @@ pub fn finalize_plan(
     Ok(plan)
 }
 
-/// Estimated input rows of a base-table scan, read from the database's
-/// memoized per-generation statistics — the cardinality signal the executor
-/// uses to gate the morsel-parallel path without rescanning the table.
-/// Unknown tables estimate to 0 (the scan itself will error later).
-pub fn estimated_scan_rows(db: &Database, table: &str) -> usize {
-    db.statistics(table).map(|s| s.row_count).unwrap_or(0)
-}
-
 /// Split a bound predicate into top-level conjuncts.
 pub fn split_bound_conjuncts(expr: &BoundExpr) -> Vec<BoundExpr> {
     let mut out = Vec::new();

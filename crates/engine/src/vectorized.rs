@@ -1,11 +1,11 @@
 //! Kernel-style (vectorized) execution of leaf fragments over
 //! [`ColumnBatch`] morsels.
 //!
-//! A morsel *is* a batch: the same `&[Row]` slices the PR-4 exchange hands
-//! its workers are re-viewed column-major here and pushed through the
-//! selection-vector kernels of [`beas_sql::columnar`].  The row engine stays
-//! the semantics reference — this module's contract is *bit-exactness with
-//! fallback*:
+//! A morsel *is* a batch: a `&[Row]` slice of one storage segment
+//! ([`beas_storage::Table::morsel_slices`]) is re-viewed column-major here
+//! and pushed through the selection-vector kernels of
+//! [`beas_sql::columnar`].  The row engine stays the semantics reference —
+//! this module's contract is *bit-exactness with fallback*:
 //!
 //! * [`kernels_cover`] decides once per fragment (not per morsel) whether
 //!   the kernels cover every operator expression; uncovered fragments never
@@ -16,18 +16,17 @@
 //!   position — kernels are allowed to over-detect errors, never to miss
 //!   one (see `beas_sql::columnar`).
 //! * On success the output rows, their order, and the per-operator counters
-//!   are identical to [`run_fragment_morsel`]'s, so exchanges can mix
-//!   vectorized and row-path morsels freely
+//!   are identical to [`crate::executor::run_fragment_morsel`]'s, so a scan
+//!   can mix vectorized and row-path morsels freely
 //!   ([`crate::ExecProfile::Alternating`] forces exactly that splice).
 //!
 //! All key hashing — join build/probe and the Distinct pre-dedupe — routes
 //! through `beas_common::key` (canonical_key_hash / the canonical `Value`
 //! hash), the single definition of key equality in the workspace.  The
 //! differential harness `tests/vectorized_semantics.rs` pins
-//! vectorized ≡ row across query shapes, worker counts and data mixes.
+//! vectorized ≡ row across query shapes, morsel splices and data mixes.
 
-use crate::executor::{run_fragment_morsel, FragOp, Fragment, MorselRun};
-use crate::profile::ExecProfile;
+use crate::executor::{FragOp, Fragment, MorselRun};
 use beas_common::{canonical_key_hash, Column, ColumnBatch, Row, RowRef, Value, ValueRef};
 use beas_sql::{columnar, BoundExpr};
 use std::collections::hash_map::DefaultHasher;
@@ -55,26 +54,6 @@ pub(crate) fn kernels_cover(frag: &Fragment<'_>, mut arity: usize) -> bool {
         }
     }
     true
-}
-
-/// Run one morsel through `frag` (when covered) on the vectorized path, or
-/// fall back to the row path — per morsel, so a kernel error or a forced
-/// row-path morsel ([`ExecProfile::forces_row_path`]) splices seamlessly
-/// into the surrounding vectorized morsels.
-pub(crate) fn run_morsel_auto<'a>(
-    frag: &Fragment<'a>,
-    covered: bool,
-    exec: ExecProfile,
-    index: usize,
-    morsel: &'a [Row],
-    dedupe: bool,
-) -> MorselRun<'a> {
-    if covered && !exec.forces_row_path(index) {
-        if let Some(run) = run_morsel_vectorized(frag, morsel, dedupe) {
-            return run;
-        }
-    }
-    run_fragment_morsel(frag, morsel, dedupe, None)
 }
 
 /// The base-table columns the fragment can touch before its first
@@ -112,7 +91,7 @@ enum State {
 /// Run `frag` over one morsel with columnar kernels.  Returns `None` on any
 /// kernel error — the caller must re-run the morsel on the row path, which
 /// reproduces the row engine's exact error and tuple accounting.  On
-/// `Some`, the run is bit-identical to [`run_fragment_morsel`].
+/// `Some`, the run is bit-identical to [`crate::executor::run_fragment_morsel`].
 pub(crate) fn run_morsel_vectorized<'a>(
     frag: &Fragment<'a>,
     morsel: &'a [Row],

@@ -79,7 +79,6 @@ const MUTATION_FACADES: &[&str] = &[
 const CONCURRENT_FILES: &[&str] = &[
     "crates/service/src/",
     "crates/common/src/quota.rs",
-    "crates/common/src/morsel.rs",
     "crates/engine/src/executor.rs",
 ];
 

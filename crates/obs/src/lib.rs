@@ -10,16 +10,14 @@
 //!
 //! * **[`TraceLevel`]** — a process-global knob ([`set_trace_level`] /
 //!   [`trace_level`]) with three settings: `Off` (tracing code paths are
-//!   no-ops), `Counters` (the default: atomic increments and span *presence*,
-//!   no clock reads per operator), and `Timing` (per-operator inclusive
+//!   no-ops), `Counters` (the default: span *presence*, no clock reads per
+//!   operator), and `Timing` (per-operator inclusive
 //!   elapsed times, read once per query by the executors).  Switching levels
 //!   never changes query answers — only how much the trace records; the
 //!   workspace pins this with a differential test.
 //!
-//! * **[`QueryTrace`]** — a per-submission span/event recorder with
-//!   monotonic timestamps (nanoseconds since the trace origin) plus shared
-//!   per-operator counters ([`OpCounters`]) that workers bump with lock-free
-//!   atomic increments.
+//! * **[`QueryTrace`]** — a per-submission span recorder with monotonic
+//!   timestamps (nanoseconds since the trace origin).
 //!
 //! * **[`MetricsRegistry`]** — a point-in-time metric snapshot (counters,
 //!   gauges, histograms with labels) that renders itself as structured JSON
@@ -44,7 +42,7 @@ pub mod trace;
 
 pub use clock::OpTimer;
 pub use registry::{Metric, MetricValue, MetricsRegistry};
-pub use trace::{next_trace_id, OpCounters, QueryTrace, SpanRecord, TraceEvent};
+pub use trace::{next_trace_id, QueryTrace, SpanRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -52,11 +50,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// cheaper one below it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
-    /// Tracing code paths are no-ops: no spans, no events, no counters.
+    /// Tracing code paths are no-ops: no spans are recorded.
     Off = 0,
-    /// Spans and events are recorded (without timestamps) and per-operator
-    /// counters are bumped — atomic increments only, cheap enough to leave
-    /// on in production.  This is the default.
+    /// Spans are recorded without timestamps — cheap enough to leave on in
+    /// production.  This is the default.
     #[default]
     Counters = 1,
     /// Everything in `Counters`, plus monotonic timestamps on spans and
@@ -66,7 +63,7 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Whether counters and span/event presence are recorded.
+    /// Whether span presence is recorded.
     #[inline]
     pub fn counters(self) -> bool {
         self >= TraceLevel::Counters

@@ -1,17 +1,11 @@
-//! Per-submission trace recording: spans with monotonic timestamps, typed
-//! events, and per-operator counters workers bump lock-free.
+//! Per-submission trace recording: spans with monotonic timestamps.
 //!
 //! A [`QueryTrace`] is owned by exactly one submission path (the session
-//! executing the query), so span and event recording take `&mut self` —
-//! no locks.  The cross-thread part is [`OpCounters`]: the owner registers
-//! a named counter group, hands the returned `Arc` to parallel workers,
-//! and each worker increments atomically.  That split is what "lock-free"
-//! means here: shared state is atomics-only, unshared state is plain.
+//! executing the query), so span recording takes `&mut self` — no locks.
 
 use crate::clock;
 use crate::TraceLevel;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Monotonically increasing process-wide trace-ID source.
@@ -37,49 +31,7 @@ pub struct SpanRecord {
     pub elapsed: Duration,
 }
 
-/// A point event with a numeric payload, e.g. `("cache_hit", 1)` or
-/// `("deduced_bound", 552)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Event name.
-    pub name: String,
-    /// Event payload.
-    pub value: u64,
-    /// Nanoseconds from the trace origin (0 unless timing).
-    pub at_ns: u64,
-}
-
-/// Shared per-operator counters, bumped with relaxed atomic increments —
-/// safe to hand to exchange workers without any lock.
-#[derive(Debug, Default)]
-pub struct OpCounters {
-    rows_out: AtomicU64,
-    tuples_accessed: AtomicU64,
-}
-
-impl OpCounters {
-    /// Add `n` produced rows.
-    pub fn add_rows(&self, n: u64) {
-        self.rows_out.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Add `n` accessed base tuples.
-    pub fn add_tuples(&self, n: u64) {
-        self.tuples_accessed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Rows produced so far.
-    pub fn rows_out(&self) -> u64 {
-        self.rows_out.load(Ordering::Relaxed)
-    }
-
-    /// Base tuples accessed so far.
-    pub fn tuples_accessed(&self) -> u64 {
-        self.tuples_accessed.load(Ordering::Relaxed)
-    }
-}
-
-/// A per-submission span/event recorder with monotonic timestamps.
+/// A per-submission span recorder with monotonic timestamps.
 ///
 /// Created at a fixed [`TraceLevel`] (usually the global one, captured once
 /// at submission start so a mid-query knob flip can't tear the record).
@@ -90,8 +42,6 @@ pub struct QueryTrace {
     level: TraceLevel,
     origin: Instant,
     spans: Vec<SpanRecord>,
-    events: Vec<TraceEvent>,
-    counters: Vec<(String, Arc<OpCounters>)>,
 }
 
 impl QueryTrace {
@@ -102,8 +52,6 @@ impl QueryTrace {
             level,
             origin: clock::now(),
             spans: Vec::new(),
-            events: Vec::new(),
-            counters: Vec::new(),
         }
     }
 
@@ -146,60 +94,12 @@ impl QueryTrace {
         });
     }
 
-    /// Record a point event with a numeric payload (no-op under `Off`).
-    pub fn event(&mut self, name: impl Into<String>, value: u64) {
-        if !self.level.counters() {
-            return;
-        }
-        let at_ns = if self.level.timing() {
-            self.origin.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
-        self.events.push(TraceEvent {
-            name: name.into(),
-            value,
-            at_ns,
-        });
-    }
-
-    /// Find-or-register the named counter group and return a shareable
-    /// handle for workers to bump.  Under `Off` a detached group is
-    /// returned and nothing is registered (increments go nowhere visible).
-    pub fn counters_for(&mut self, name: &str) -> Arc<OpCounters> {
-        if !self.level.counters() {
-            return Arc::new(OpCounters::default());
-        }
-        if let Some((_, c)) = self.counters.iter().find(|(n, _)| n == name) {
-            return Arc::clone(c);
-        }
-        let c = Arc::new(OpCounters::default());
-        self.counters.push((name.to_string(), Arc::clone(&c)));
-        c
-    }
-
     /// Closed spans in recording order.
     pub fn spans(&self) -> &[SpanRecord] {
         &self.spans
     }
 
-    /// Events in recording order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Registered counter groups in registration order.
-    pub fn counters(&self) -> &[(String, Arc<OpCounters>)] {
-        &self.counters
-    }
-
-    /// Value of the first event named `name`, if recorded.
-    pub fn event_value(&self, name: &str) -> Option<u64> {
-        self.events.iter().find(|e| e.name == name).map(|e| e.value)
-    }
-
-    /// A compact human-readable dump: one line per span, event and counter
-    /// group.
+    /// A compact human-readable dump: one line per span.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -209,18 +109,6 @@ impl QueryTrace {
                 out,
                 "  span  {:<12} +{}ns  {:?}",
                 s.name, s.start_ns, s.elapsed
-            );
-        }
-        for e in &self.events {
-            let _ = writeln!(out, "  event {:<24} = {}", e.name, e.value);
-        }
-        for (name, c) in &self.counters {
-            let _ = writeln!(
-                out,
-                "  op    {:<24} rows_out={} tuples_accessed={}",
-                name,
-                c.rows_out(),
-                c.tuples_accessed()
             );
         }
         out
@@ -247,12 +135,7 @@ mod tests {
         let tok = t.start_span();
         assert!(tok.is_none());
         t.end_span("prepare", tok);
-        t.event("cache_hit", 1);
-        let c = t.counters_for("SeqScan(call)");
-        c.add_rows(10);
         assert!(t.spans().is_empty());
-        assert!(t.events().is_empty());
-        assert!(t.counters().is_empty());
     }
 
     #[test]
@@ -261,7 +144,6 @@ mod tests {
         let tok = t.start_span();
         assert!(tok.is_none(), "no clock reads below Timing");
         t.end_span("execute", tok);
-        t.event("deduced_bound", 552);
         assert_eq!(
             t.spans(),
             &[SpanRecord {
@@ -270,46 +152,26 @@ mod tests {
                 elapsed: Duration::ZERO,
             }]
         );
-        assert_eq!(t.event_value("deduced_bound"), Some(552));
-        assert_eq!(t.events()[0].at_ns, 0);
     }
 
     #[test]
     fn timing_trace_stamps_monotonic_offsets() {
         let mut t = QueryTrace::new(TraceLevel::Timing);
-        let tok = t.start_span();
-        assert!(tok.is_some());
-        t.end_span("execute", tok);
-        t.event("rows", 3);
-        let s = &t.spans()[0];
-        // start_ns measures from the trace origin, so a span opened after
-        // construction is at a non-negative offset; at_ns of a later event
-        // can't precede the span start.
-        assert!(t.events()[0].at_ns >= s.start_ns);
+        let first = t.start_span();
+        assert!(first.is_some());
+        t.end_span("prepare", first);
+        let second = t.start_span();
+        t.end_span("execute", second);
+        // start_ns measures from the trace origin, so a span opened later
+        // can't start before an earlier one.
+        assert!(t.spans()[1].start_ns >= t.spans()[0].start_ns);
     }
 
     #[test]
-    fn counter_groups_are_shared_by_name() {
-        let mut t = QueryTrace::new(TraceLevel::Counters);
-        let a = t.counters_for("HashJoin(keys=1)");
-        let b = t.counters_for("HashJoin(keys=1)");
-        a.add_rows(2);
-        b.add_rows(3);
-        b.add_tuples(7);
-        assert_eq!(t.counters().len(), 1);
-        let (_, c) = &t.counters()[0];
-        assert_eq!((c.rows_out(), c.tuples_accessed()), (5, 7));
-    }
-
-    #[test]
-    fn render_mentions_spans_events_and_counters() {
+    fn render_mentions_spans() {
         let mut t = QueryTrace::new(TraceLevel::Counters);
         t.end_span("admit", None);
-        t.event("cache_hit", 0);
-        t.counters_for("SeqScan(call)").add_rows(1);
         let text = t.render();
         assert!(text.contains("admit"));
-        assert!(text.contains("cache_hit"));
-        assert!(text.contains("SeqScan(call)"));
     }
 }

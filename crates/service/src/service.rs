@@ -303,7 +303,7 @@ pub struct SessionOutcome {
 
 impl QueryService {
     /// Wrap a configured system (knobs like
-    /// [`BeasSystem::with_parallel_fallback`] or
+    /// [`BeasSystem::with_exec_fallback`] or
     /// [`BeasSystem::with_partial_reduction_threshold`] are applied before
     /// construction) into a service.
     pub fn new(system: BeasSystem) -> Self {

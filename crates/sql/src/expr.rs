@@ -608,65 +608,6 @@ impl Accumulator {
         Ok(())
     }
 
-    /// Fold another accumulator — built over a *disjoint partition* of the
-    /// same group's input — into this one, as if this accumulator had also
-    /// seen the other's rows.  This is the merge step of partitioned
-    /// (morsel-parallel) aggregation: each worker accumulates its partition
-    /// locally and the partials are merged in partition order.
-    ///
-    /// The caller must pair accumulators of the same function/distinctness
-    /// (the engine merges positionally within a group).  Exactness caveat:
-    /// `SUM`/`AVG` re-associate additions under merging — float rounding
-    /// differs, and even checked integer addition is order-sensitive in its
-    /// *overflow* behavior (a transient overflow of the left-to-right fold
-    /// can vanish under per-partition summing) — so parallel planners
-    /// should only partition aggregates whose merge is bit-exact in answers
-    /// and errors (`COUNT`/`MIN`/`MAX`); see `beas_engine`'s gating.
-    pub fn merge(&mut self, other: &Accumulator) -> Result<()> {
-        debug_assert_eq!(self.func, other.func, "merging mismatched accumulators");
-        debug_assert_eq!(self.distinct, other.distinct);
-        if self.distinct {
-            // Replay the other side's distinct values; `update` re-checks
-            // the combined `seen` set, so values both sides saw count once.
-            for v in &other.seen {
-                self.update(v)?;
-            }
-            return Ok(());
-        }
-        self.count += other.count;
-        match self.func {
-            AggregateFunction::Count => {}
-            AggregateFunction::Sum | AggregateFunction::Avg => {
-                if other.count > 0 {
-                    self.sum = self.sum.add(&other.sum)?;
-                }
-            }
-            AggregateFunction::Min => {
-                if let Some(v) = &other.min {
-                    let replace = match &self.min {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == Ordering::Less,
-                    };
-                    if replace {
-                        self.min = Some(v.clone());
-                    }
-                }
-            }
-            AggregateFunction::Max => {
-                if let Some(v) = &other.max {
-                    let replace = match &self.max {
-                        None => true,
-                        Some(m) => v.total_cmp(m) == Ordering::Greater,
-                    };
-                    if replace {
-                        self.max = Some(v.clone());
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Produce the final aggregate value.
     pub fn finish(&self) -> Value {
         match self.func {
@@ -853,55 +794,6 @@ mod tests {
         assert_eq!(avg.finish(), Value::Float(7.0 / 3.0));
         assert_eq!(min.finish(), Value::Int(1));
         assert_eq!(max.finish(), Value::Int(3));
-    }
-
-    #[test]
-    fn merged_partitions_equal_one_accumulator() {
-        // Splitting the input across partitions and merging the partials in
-        // any grouping must give the one-accumulator answer — the invariant
-        // morsel-parallel aggregation rests on.
-        let vals = [
-            Value::Int(3),
-            Value::Int(1),
-            Value::Null,
-            Value::Int(3),
-            Value::Int(-2),
-            Value::Int(1),
-        ];
-        for func in [
-            AggregateFunction::Count,
-            AggregateFunction::Sum,
-            AggregateFunction::Avg,
-            AggregateFunction::Min,
-            AggregateFunction::Max,
-        ] {
-            for distinct in [false, true] {
-                for split in 0..=vals.len() {
-                    let mut whole = Accumulator::new(func, distinct);
-                    for v in &vals {
-                        whole.update(v).unwrap();
-                    }
-                    let (a, b) = vals.split_at(split);
-                    let mut left = Accumulator::new(func, distinct);
-                    let mut right = Accumulator::new(func, distinct);
-                    for v in a {
-                        left.update(v).unwrap();
-                    }
-                    for v in b {
-                        right.update(v).unwrap();
-                    }
-                    left.merge(&right).unwrap();
-                    assert_eq!(
-                        left.finish(),
-                        whole.finish(),
-                        "{func:?} distinct={distinct} split={split}"
-                    );
-                    // merging an empty partial is a no-op
-                    left.merge(&Accumulator::new(func, distinct)).unwrap();
-                    assert_eq!(left.finish(), whole.finish());
-                }
-            }
-        }
     }
 
     #[test]

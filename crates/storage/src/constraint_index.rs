@@ -246,26 +246,6 @@ impl ConstraintIndex {
         (out, accessed)
     }
 
-    /// Keyed bucket iteration: the borrowed bucket for each key of `keys`,
-    /// positionally aligned with the input, plus the number of partial
-    /// tuples accessed.  Buckets are *not* copied — each entry borrows the
-    /// index — which is what lets the bounded executor's parallel fetch
-    /// partition a key set across workers and merge the per-chunk results
-    /// deterministically (chunk order = key order).
-    pub fn fetch_buckets<'k>(
-        &self,
-        keys: impl IntoIterator<Item = &'k [Value]>,
-    ) -> (Vec<&[Row]>, u64) {
-        let mut out = Vec::new();
-        let mut accessed = 0u64;
-        for key in keys {
-            let bucket = self.fetch(key);
-            accessed += bucket.len() as u64;
-            out.push(bucket);
-        }
-        (out, accessed)
-    }
-
     /// All `(key, bucket)` pairs, in no particular order.
     fn buckets(&self) -> impl Iterator<Item = (&Arc<[Value]>, &Arc<Bucket>)> {
         self.shards.iter().flat_map(|s| s.buckets.iter())
@@ -814,25 +794,6 @@ mod tests {
         let (rows, accessed) = idx.fetch_many([k1.as_slice(), k2.as_slice()]);
         assert_eq!(rows.len(), 3);
         assert_eq!(accessed, 3);
-    }
-
-    #[test]
-    fn fetch_buckets_aligns_with_keys_and_borrows() {
-        let t = call_table();
-        let idx = index(&t);
-        let d = Value::Date("2016-07-04".parse().unwrap());
-        let k1 = vec![Value::str("a"), d.clone()];
-        let missing = vec![Value::str("zz"), d.clone()];
-        let k2 = vec![Value::str("b"), d];
-        let (buckets, accessed) =
-            idx.fetch_buckets([k1.as_slice(), missing.as_slice(), k2.as_slice()]);
-        assert_eq!(buckets.len(), 3);
-        assert_eq!(buckets[0].len(), 2);
-        assert!(buckets[1].is_empty());
-        assert_eq!(buckets[2].len(), 1);
-        assert_eq!(accessed, 3);
-        // positionally identical to per-key fetch
-        assert!(std::ptr::eq(buckets[0], idx.fetch(&k1)));
     }
 
     #[test]

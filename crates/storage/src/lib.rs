@@ -28,4 +28,4 @@ pub use copy_stats::CopyStats;
 pub use database::Database;
 pub use index::HashIndex;
 pub use stats::{ColumnStatistics, TableStatistics};
-pub use table::{CoercedBatch, Table, SEGMENT_ROWS};
+pub use table::{CoercedBatch, Table, MORSEL_ROWS, SEGMENT_ROWS};

@@ -5,10 +5,14 @@ use beas_common::{BeasError, DataType, Result, Row, TableSchema, Value};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Rows per sealed segment.  Matches [`beas_common::MORSEL_ROWS`] so that
-/// morsel scheduling over segment slices produces the same morsel count as
-/// it did over a single contiguous row vector for append-built tables.
-pub const SEGMENT_ROWS: usize = beas_common::MORSEL_ROWS;
+/// Default rows per morsel: the batch the columnar scan builds and pushes
+/// through its kernels, one [`Table::morsel_slices`] slice at a time.  Large
+/// enough that a batch's per-row kernel work dwarfs building it.
+pub const MORSEL_ROWS: usize = 16_384;
+
+/// Rows per sealed segment.  Matches [`MORSEL_ROWS`] so that a default
+/// morsel of an append-built table is a whole segment.
+pub const SEGMENT_ROWS: usize = MORSEL_ROWS;
 
 /// One immutable run of rows.  `start` is the physical id of the first row;
 /// the run is shared (`Arc`) between a table and its clones, and a shared
@@ -348,7 +352,7 @@ impl Table {
     /// Slice the table into morsels of at most `morsel_rows` rows, in
     /// physical-id order.  Each morsel lies inside one segment, so for
     /// append-built tables (segment size = [`SEGMENT_ROWS`] =
-    /// `MORSEL_ROWS`) the slicing is identical to chunking one contiguous
+    /// [`MORSEL_ROWS`]) the slicing is identical to chunking one contiguous
     /// row vector.
     pub fn morsel_slices(&self, morsel_rows: usize) -> Vec<&[Row]> {
         let morsel_rows = morsel_rows.max(1);

@@ -3,7 +3,7 @@
 //! (conventional), malformed SQL, and a quota trip — runs under
 //! [`TraceLevel::Off`], [`TraceLevel::Counters`] and [`TraceLevel::Timing`]
 //! on both engines (the BEAS bounded executor and the baseline engine in
-//! row-at-a-time and vectorized+parallel configurations), and every
+//! row-at-a-time and vectorized small-morsel configurations), and every
 //! observable output is compared for bit-exact equality: rows (as Debug
 //! strings, distinguishing `Int(1)` from `Float(1.0)`), error kind *and*
 //! message, `tuples_accessed`, and the quota charge.  Timing may only ever
@@ -60,15 +60,11 @@ fn observe(system: &BeasSystem) -> Vec<String> {
         tracker.tuples_used()
     ));
 
-    // Baseline engine, row pipeline and vectorized+parallel morsels.
+    // Baseline engine, row pipeline and vectorized 16-row morsels.
     let row_engine = Engine::default().with_exec_profile(ExecProfile::RowAtATime);
     let morsel_engine = Engine::default()
         .with_exec_profile(ExecProfile::Vectorized)
-        .with_parallelism(ParallelConfig {
-            workers: 4,
-            min_rows: 1,
-            morsel_rows: 16,
-        });
+        .with_parallelism(ParallelConfig { morsel_rows: 16 });
     for (name, engine) in [("row", row_engine), ("morsel", morsel_engine)] {
         for (label, sql) in [("covered", covered.as_str()), ("uncovered", UNCOVERED)] {
             let result = engine.run(system.database(), sql).unwrap();
@@ -124,40 +120,28 @@ fn labels(node: &beas::engine::AnalyzeNode, out: &mut Vec<String>) {
 }
 
 #[test]
-fn explain_analyze_covers_exchange_and_vectorized_morsel_runs() {
+fn explain_analyze_covers_vectorized_morsel_runs() {
     let db = beas::tlc::tiny_database(60);
-    // Exchange-parallel run: workers pull morsels through row fragments.
-    let parallel = Engine::default()
-        .with_parallelism(ParallelConfig {
-            workers: 4,
-            min_rows: 1,
-            morsel_rows: 16,
-        })
-        .explain_analyze(&db, UNCOVERED)
-        .unwrap();
-    // Vectorized serial run: columnar kernels over morsel batches.
-    let vectorized = Engine::default()
+    // Columnar kernels over 16-row morsel batches.
+    let analysis = Engine::default()
         .with_exec_profile(ExecProfile::Vectorized)
+        .with_parallelism(ParallelConfig { morsel_rows: 16 })
         .explain_analyze(&db, UNCOVERED)
         .unwrap();
 
-    for analysis in [&parallel, &vectorized] {
-        // The analyzed tree has exactly the shape `explain` reports.
-        let mut tree_labels = Vec::new();
-        labels(&analysis.tree, &mut tree_labels);
-        let plan_labels: Vec<String> = analysis
-            .plan_text
-            .lines()
-            .map(|l| l.trim_start().to_string())
-            .collect();
-        assert_eq!(tree_labels, plan_labels);
-        let total: u64 = analysis.result.metrics.total_tuples_accessed();
-        assert!(total > 0, "a scan must report tuples accessed");
-    }
+    // The analyzed tree has exactly the shape `explain` reports.
+    let mut tree_labels = Vec::new();
+    labels(&analysis.tree, &mut tree_labels);
+    let plan_labels: Vec<String> = analysis
+        .plan_text
+        .lines()
+        .map(|l| l.trim_start().to_string())
+        .collect();
+    assert_eq!(tree_labels, plan_labels);
+    let total: u64 = analysis.result.metrics.total_tuples_accessed();
+    assert!(total > 0, "a scan must report tuples accessed");
 
-    // Physical-path annotations surface in the rendered breakdown.
-    let rendered = parallel.tree.render();
-    assert!(rendered.contains("+ Exchange("), "{rendered}");
-    let rendered = vectorized.tree.render();
+    // The physical-path annotation surfaces in the rendered breakdown.
+    let rendered = analysis.tree.render();
     assert!(rendered.contains("+ Vectorized(batches="), "{rendered}");
 }

@@ -3,8 +3,9 @@
 //! order, same `Int`/`Float` variants (compared as Debug strings, which
 //! distinguish `Int(1)` from `Float(1.0)` and `-0.0` from `0.0`), same error
 //! kind and message, same `tuples_accessed`, and the same quota accounting —
-//! across the query shapes of `parallel_semantics.rs`, serial and parallel
-//! worker counts, and mixed Int / Float / Date / date-string / NULL data.
+//! tripping or not — across join / DISTINCT / aggregate / ORDER BY … LIMIT
+//! shapes, morsels small enough that every table splits into many, and
+//! mixed Int / Float / Date / date-string / NULL data.
 //!
 //! [`ExecProfile::Alternating`] forces a mid-query fallback (kernels on even
 //! morsels, the row path on odd ones), proving the two paths splice without
@@ -105,11 +106,10 @@ fn build_db(seed: u64, n1: usize, n2: usize) -> Database {
     db
 }
 
-/// The `parallel_semantics.rs` shapes, enriched with kernel-heavy
-/// expressions: cross-family numeric comparison, a date-string ≡ date join,
-/// `IN` / `BETWEEN` / `OR`, per-morsel pre-deduped DISTINCT, merge-exact and
-/// serial-fold aggregation, and lazy LIMIT prefixes (which inhibit the
-/// serial vectorized path by design).
+/// Query shapes with kernel-heavy expressions: cross-family numeric
+/// comparison, a date-string ≡ date join, `IN` / `BETWEEN` / `OR`,
+/// per-morsel pre-deduped DISTINCT, aggregation, and lazy LIMIT prefixes
+/// (which keep the row-at-a-time scan by design).
 fn query_shape(shape: usize, limit: usize) -> String {
     match shape % 8 {
         0 => "select ki, kf from t1 where kf = ki".to_string(),
@@ -129,28 +129,21 @@ fn query_shape(shape: usize, limit: usize) -> String {
     }
 }
 
-/// Forced-parallel configuration: racing workers over tiny morsels.  A
-/// worker count of 1 is the serial pipeline (where the vectorized path runs
-/// inside [`beas::engine::executor`]'s serial scan instead of the exchange).
-fn config(workers: usize) -> ParallelConfig {
-    ParallelConfig {
-        workers,
-        min_rows: 0,
-        morsel_rows: 4,
-    }
-}
+/// Four-row morsels: every table splits into many, so kernel and row-path
+/// morsels splice mid-scan.
+const TINY_MORSELS: ParallelConfig = ParallelConfig { morsel_rows: 4 };
 
 struct Run {
     result: beas::common::Result<QueryResult>,
     tuples_used: u64,
 }
 
-fn run(db: &Database, sql: &str, exec: ExecProfile, workers: usize, max_tuples: u64) -> Run {
+fn run(db: &Database, sql: &str, exec: ExecProfile, max_tuples: u64) -> Run {
     let tracker = ResourceQuota::unlimited()
         .with_max_tuples(max_tuples)
         .tracker();
     let result = Engine::default()
-        .with_parallelism(config(workers))
+        .with_parallelism(TINY_MORSELS)
         .with_exec_profile(exec)
         .run_with_quota(db, sql, Some(&tracker));
     Run {
@@ -159,21 +152,16 @@ fn run(db: &Database, sql: &str, exec: ExecProfile, workers: usize, max_tuples: 
     }
 }
 
-/// Assert one vectorized run is bit-exact with its row-path reference.
-/// `quota_tight` relaxes the accounting assertions: under a tripping quota
-/// the two paths agree on the error kind and on never exceeding the budget
-/// by more than one scheduling quantum, but the exact trip morsel may
-/// differ on the parallel path (cooperative cancellation — the same
-/// contract `execute_with_quota` documents for parallel vs serial).
+/// Assert one vectorized run is bit-exact with its row-path reference: the
+/// same rows or the same error (kind and message, which carries the position
+/// or the quota usage), and the same quota charge either way.
 fn assert_bit_exact(
     sql: &str,
     exec: ExecProfile,
-    workers: usize,
     reference: &Run,
     candidate: &Run,
-    quota_tight: bool,
 ) -> std::result::Result<(), proptest::test_runner::TestCaseError> {
-    let ctx = format!("{sql} under {exec} ({workers} workers)");
+    let ctx = format!("{sql} under {exec}");
     match (&reference.result, &candidate.result) {
         (Ok(r), Ok(c)) => {
             prop_assert_eq!(
@@ -188,26 +176,18 @@ fn assert_bit_exact(
                 "tuples_accessed diverged for {}",
                 ctx
             );
-            prop_assert_eq!(
-                reference.tuples_used,
-                candidate.tuples_used,
-                "quota accounting diverged for {}",
-                ctx
-            );
         }
         (Err(re), Err(ce)) => {
             prop_assert_eq!(re.kind(), ce.kind(), "error kind diverged for {}", ctx);
-            if !quota_tight {
-                // Without a tripping quota the error *message* (and with it
-                // the error position baked into it) must match too: the
-                // fallback re-runs the failing morsel on the row path.
-                prop_assert_eq!(
-                    re.to_string(),
-                    ce.to_string(),
-                    "error message diverged for {}",
-                    ctx
-                );
-            }
+            // The fallback re-runs a failing morsel on the row path, and a
+            // kernel morsel charges the quota row by row: the message (and
+            // the position or usage baked into it) matches too.
+            prop_assert_eq!(
+                re.to_string(),
+                ce.to_string(),
+                "error message diverged for {}",
+                ctx
+            );
         }
         (r, c) => prop_assert!(
             false,
@@ -217,14 +197,20 @@ fn assert_bit_exact(
             c.as_ref().map(|q| q.rows.len())
         ),
     }
+    prop_assert_eq!(
+        reference.tuples_used,
+        candidate.tuples_used,
+        "quota accounting diverged for {}",
+        ctx
+    );
     Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    /// Vectorized ≡ row for every shape × profile × worker count, including
-    /// the forced mid-query fallback ([`ExecProfile::Alternating`]).
+    /// Vectorized ≡ row for every shape × profile, including the forced
+    /// mid-query fallback ([`ExecProfile::Alternating`]).
     #[test]
     fn vectorized_matches_row_path(
         seed in 0u64..10_000,
@@ -235,18 +221,15 @@ proptest! {
     ) {
         let db = build_db(seed, n1, n2);
         let sql = query_shape(shape, limit);
-        for workers in [1usize, 2, 4] {
-            let reference = run(&db, &sql, ExecProfile::RowAtATime, workers, u64::MAX);
-            for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
-                let candidate = run(&db, &sql, exec, workers, u64::MAX);
-                assert_bit_exact(&sql, exec, workers, &reference, &candidate, false)?;
-            }
+        let reference = run(&db, &sql, ExecProfile::RowAtATime, u64::MAX);
+        for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
+            let candidate = run(&db, &sql, exec, u64::MAX);
+            assert_bit_exact(&sql, exec, &reference, &candidate)?;
         }
     }
 
     /// Same differential under a tight tuple quota: trips must surface with
-    /// the same error kind and — serially, where the charge discipline is
-    /// deterministic — the same message and the same `tuples_used`.
+    /// the same error kind, the same message and the same `tuples_used`.
     #[test]
     fn vectorized_matches_row_path_under_quota(
         seed in 0u64..10_000,
@@ -256,12 +239,10 @@ proptest! {
     ) {
         let db = build_db(seed, n1, 12);
         let sql = query_shape(shape, 6);
-        for workers in [1usize, 2, 4] {
-            let reference = run(&db, &sql, ExecProfile::RowAtATime, workers, max_tuples);
-            for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
-                let candidate = run(&db, &sql, exec, workers, max_tuples);
-                assert_bit_exact(&sql, exec, workers, &reference, &candidate, true)?;
-            }
+        let reference = run(&db, &sql, ExecProfile::RowAtATime, max_tuples);
+        for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
+            let candidate = run(&db, &sql, exec, max_tuples);
+            assert_bit_exact(&sql, exec, &reference, &candidate)?;
         }
     }
 
@@ -308,19 +289,19 @@ proptest! {
     }
 }
 
-/// A serial scan-quota trip is *fully* deterministic: same error message
+/// A scan-quota trip is *fully* deterministic: same error message
 /// (including the reported usage) and the same final `tuples_used` — the
 /// budget plus the one tuple whose charge tripped — on every profile.
 #[test]
 fn serial_quota_trip_is_bit_exact() {
     let db = build_db(3, 40, 0);
     let sql = "select ki, tag from t1 where ki in (1, 2, 4) or kf between 1 and 2";
-    let reference = run(&db, sql, ExecProfile::RowAtATime, 1, 10);
+    let reference = run(&db, sql, ExecProfile::RowAtATime, 10);
     let ref_err = reference.result.expect_err("quota must trip");
     assert_eq!(ref_err.kind(), "quota_exceeded");
     assert_eq!(reference.tuples_used, 11);
     for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
-        let candidate = run(&db, sql, exec, 1, 10);
+        let candidate = run(&db, sql, exec, 10);
         let err = candidate.result.expect_err("quota must trip");
         assert_eq!(err.to_string(), ref_err.to_string(), "{exec}");
         assert_eq!(candidate.tuples_used, reference.tuples_used, "{exec}");
@@ -333,51 +314,49 @@ fn serial_quota_trip_is_bit_exact() {
 fn uncovered_like_falls_back_statically() {
     let db = build_db(5, 40, 0);
     let sql = "select ki, tag from t1 where tag like '%a%' and ki > 1";
-    let reference = run(&db, sql, ExecProfile::RowAtATime, 1, u64::MAX);
+    let reference = run(&db, sql, ExecProfile::RowAtATime, u64::MAX);
     let expected = reference.result.unwrap();
-    for workers in [1usize, 3] {
-        for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
-            let got = run(&db, sql, exec, workers, u64::MAX).result.unwrap();
-            assert_eq!(
-                format!("{:?}", expected.rows),
-                format!("{:?}", got.rows),
-                "{exec} ({workers} workers)"
-            );
-            // Static fallback: the kernels never ran, so no Vectorized
-            // marker appears in the plan metrics.
-            assert!(
-                !got.metrics.render().contains("Vectorized("),
-                "{exec}: LIKE fragment must not take the kernel path"
-            );
-        }
+    for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
+        let got = run(&db, sql, exec, u64::MAX).result.unwrap();
+        assert_eq!(
+            format!("{:?}", expected.rows),
+            format!("{:?}", got.rows),
+            "{exec}"
+        );
+        // Static fallback: the kernels never ran, so no Vectorized marker
+        // appears in the plan metrics.
+        assert!(
+            !got.metrics.render().contains("Vectorized("),
+            "{exec}: LIKE fragment must not take the kernel path"
+        );
     }
 }
 
 /// The kernel path actually engages (guards against a vacuously-green
-/// differential): a covered serial fragment reports its batch count, and a
+/// differential): a covered fragment reports its batch count, and a
 /// type error that the kernels over-detect re-runs on the row path with the
 /// identical error message.
 #[test]
 fn kernels_engage_and_errors_reproduce_exactly() {
     let db = build_db(9, 40, 0);
     let covered = "select ki from t1 where tag = 'a'";
-    let got = run(&db, covered, ExecProfile::Vectorized, 1, u64::MAX)
+    let got = run(&db, covered, ExecProfile::Vectorized, u64::MAX)
         .result
         .unwrap();
     let rendered = got.metrics.render();
     assert!(
         rendered.contains("Vectorized(batches=") && rendered.contains("fallbacks=0"),
-        "covered serial fragment must run on the kernel path:\n{rendered}"
+        "covered fragment must run on the kernel path:\n{rendered}"
     );
 
     // tag > 5 type-errors on the first row of the first morsel; the kernel
     // detects it batch-wide, falls back, and the row path reproduces the
-    // serial error exactly.
+    // row-path error exactly.
     let erroring = "select ki from t1 where tag > 5";
-    let reference = run(&db, erroring, ExecProfile::RowAtATime, 1, u64::MAX);
+    let reference = run(&db, erroring, ExecProfile::RowAtATime, u64::MAX);
     let ref_err = reference.result.expect_err("type error");
     for exec in [ExecProfile::Vectorized, ExecProfile::Alternating] {
-        let candidate = run(&db, erroring, exec, 1, u64::MAX);
+        let candidate = run(&db, erroring, exec, u64::MAX);
         let err = candidate.result.expect_err("type error");
         assert_eq!(err.to_string(), ref_err.to_string(), "{exec}");
         assert_eq!(candidate.tuples_used, reference.tuples_used, "{exec}");
