@@ -2,13 +2,15 @@
 //! their indices and their metadata for different applications.
 //!
 //! The paper's catalog has three modules — Metadata, Discovery and
-//! Maintenance.  [`AsCatalog`] ties them together: applications register a
-//! (database, access schema) pair; registration validates conformance,
-//! builds the constraint indices and records metadata (constraint count,
-//! index sizes, statistics) that the BE Query Planner consults.
+//! Maintenance.  [`AsCatalog`] ties Metadata and Maintenance together:
+//! applications register a (database, access schema) pair; registration
+//! validates conformance, builds the constraint indices and records metadata
+//! (constraint count, index sizes, statistics) that the BE Query Planner
+//! consults.  Discovery reads queries through the BE Checker's query graph,
+//! so it lives in `beas-core` (`beas_core::discovery`); register what it
+//! finds with [`AsCatalog::register`].
 
 use crate::conformance::require_conformance;
-use crate::discovery::{discover, DiscoveryConfig, DiscoveryReport};
 use crate::indexes::{build_indexes, AccessIndexes};
 use crate::maintenance::{Maintainer, MaintenancePolicy};
 use crate::schema::AccessSchema;
@@ -95,24 +97,6 @@ impl AsCatalog {
             },
         );
         Ok(&self.applications[&name])
-    }
-
-    /// Discover an access schema from data + workload and register it.
-    pub fn discover_and_register(
-        &mut self,
-        application: &str,
-        db: &Database,
-        workload: &[String],
-        config: &DiscoveryConfig,
-    ) -> Result<(DiscoveryReport, &RegisteredSchema)> {
-        let (schema, report) = discover(db, workload, config)?;
-        if schema.is_empty() {
-            return Err(BeasError::invalid_argument(
-                "discovery produced no usable access constraints for this workload",
-            ));
-        }
-        let registered = self.register(application, db, schema)?;
-        Ok((report, registered))
     }
 
     /// The registered entry for an application.
@@ -227,6 +211,8 @@ mod tests {
         assert!(catalog.unregister("tlc"));
         assert!(!catalog.unregister("tlc"));
         assert!(catalog.get("tlc").is_none());
+        let m = catalog.maintainer(MaintenancePolicy::Strict);
+        assert_eq!(m.policy(), MaintenancePolicy::Strict);
     }
 
     #[test]
@@ -242,20 +228,5 @@ mod tests {
         .unwrap()]);
         assert!(catalog.register("tlc", &db, too_tight).is_err());
         assert!(catalog.register("tlc", &db, AccessSchema::new()).is_err());
-    }
-
-    #[test]
-    fn discover_and_register_end_to_end() {
-        let mut catalog = AsCatalog::new();
-        let db = db();
-        let workload =
-            vec!["SELECT pnum FROM business WHERE type = 'bank' AND region = 'east'".to_string()];
-        let (report, entry) = catalog
-            .discover_and_register("tlc", &db, &workload, &DiscoveryConfig::default())
-            .unwrap();
-        assert!(!report.selected.is_empty());
-        assert!(entry.metadata.constraint_count >= 1);
-        let m = catalog.maintainer(MaintenancePolicy::Strict);
-        assert_eq!(m.policy(), MaintenancePolicy::Strict);
     }
 }

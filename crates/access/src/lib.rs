@@ -10,17 +10,18 @@
 //! * [`conformance`] — checking `D |= A`;
 //! * [`indexes`] — building the *modified hash indices* that back each
 //!   constraint, and fetching partial tuples through them;
-//! * [`discovery`] — mining an access schema from a dataset and a query
-//!   workload under a storage budget (the AS catalog's Discovery module);
 //! * [`maintenance`] — incremental index maintenance and bound adjustment
 //!   under inserts/deletes (the Maintenance module);
 //! * [`catalog`] — the AS Catalog tying schema, indices and metadata together
 //!   per application.
+//!
+//! Discovery — mining an access schema from a dataset and a query workload —
+//! reads queries through the BE Checker's query graph and lives in
+//! `beas-core`.
 
 pub mod catalog;
 pub mod conformance;
 pub mod constraint;
-pub mod discovery;
 pub mod indexes;
 pub mod maintenance;
 pub mod schema;
@@ -31,9 +32,6 @@ pub use conformance::{
     ConstraintConformance,
 };
 pub use constraint::AccessConstraint;
-pub use discovery::{
-    discover, discover_from_statements, Candidate, DiscoveryConfig, DiscoveryReport,
-};
 pub use indexes::{build_index, build_indexes, AccessIndexes};
 pub use maintenance::{Maintainer, MaintenanceOutcome, MaintenancePolicy};
 pub use schema::AccessSchema;

@@ -1,22 +1,21 @@
 #![forbid(unsafe_code)]
 //! # beas-bench
 //!
-//! The benchmark harness that regenerates the evaluation artefacts of the
-//! BEAS paper:
+//! Reproductions of the BEAS paper's evaluation artefacts:
 //!
 //! * **Fig. 3 / Example 2** — per-operation breakdown and acceleration of Q1
-//!   over the three baseline profiles (`fig3_report` binary,
-//!   `fig3_breakdown` Criterion bench);
+//!   over the three baseline profiles (`fig3_report` binary);
 //! * **Fig. 4** — scalability of Q1 as the TLC dataset grows
 //!   (`fig4_report` binary, `fig4_scalability` Criterion bench);
 //! * **the ">90 % of queries" claim** — all 11 TLC queries through BEAS and
-//!   the baseline (`tlc_suite_report` binary, `tlc_queries` Criterion bench);
-//! * micro-benchmarks of the individual BEAS components (`micro_ops`).
+//!   the baseline (`tlc_suite_report` binary);
+//!
+//! plus the kernel-isolating micro-benchmarks (`micro_ops`).  End-to-end and
+//! per-layer performance is the closed-loop benchmark's job
+//! (`beas_benchmark`).
 //!
 //! Shared setup helpers live here so binaries and benches measure the same
 //! configurations.
-
-pub mod report;
 
 use beas_core::BeasSystem;
 use beas_engine::{Engine, OptimizerProfile, QueryResult};

@@ -32,7 +32,7 @@ pub use key::{
 pub use quota::{QuotaTracker, ResourceQuota};
 pub use rowref::{dedupe, RowRef, RowSeg, ValueRow};
 pub use schema::{ColumnDef, ColumnRef, Field, Schema, TableSchema};
-pub use stream::{DedupeStream, FilterStream, MapStream, RowStream, TakeStream, VecStream};
+pub use stream::RowStream;
 pub use tuple::{Row, Tuple};
 pub use types::DataType;
 pub use value::Value;

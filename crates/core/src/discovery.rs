@@ -7,20 +7,20 @@
 //! algorithm is deferred to a later publication, so this implementation is a
 //! faithful instantiation of that multi-criteria description:
 //!
-//! 1. **Candidate generation** from the query workload: for every table in a
-//!    query, attributes bound to constants (or reachable through equi-joins)
-//!    form candidate key sets `X`, and the attributes of that table the query
-//!    actually uses form the candidate fetch sets `Y`.
+//! 1. **Candidate generation** from the query workload, read through the
+//!    binder and the [`QueryGraph`] the BE Checker decides coverage on: for
+//!    every atom, attributes bound to constants (or joined to another atom)
+//!    form candidate key sets `X`, and the attributes of that atom the query
+//!    needs, minus `X`, form the fetch set `Y`.
 //! 2. **Profiling** against the data: the observed maximum group cardinality
 //!    gives the tightest `N`, and building the index gives its storage cost.
 //! 3. **Greedy selection** under the storage budget, ranking candidates by
 //!    (queries helped) / (index bytes).
 
-use crate::constraint::AccessConstraint;
-use crate::indexes::build_index;
-use crate::schema::AccessSchema;
+use crate::graph::{Atom, QueryGraph, Term};
+use beas_access::{build_index, AccessConstraint, AccessSchema};
 use beas_common::{BeasError, Result};
-use beas_sql::{parse_select, QueryShape, SchemaProvider, SelectStatement};
+use beas_sql::{parse_select, Binder, SelectStatement};
 use beas_storage::{Database, TableStatistics};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -158,185 +158,65 @@ pub fn discover_from_statements(
     Ok((schema, report))
 }
 
-/// Generate candidate `(table, X, Y)` triples from one query pattern.
+/// Generate candidate `(table, X, Y)` triples from one query pattern.  A
+/// statement the binder or the graph rejects (an unknown table or column,
+/// say) contributes none.
 fn candidates_for_statement(
     db: &Database,
     stmt: &SelectStatement,
 ) -> Vec<(String, Vec<String>, Vec<String>)> {
-    // Map alias -> table name for every factor the database knows about.
-    let mut alias_to_table = BTreeMap::new();
-    for t in stmt.from.iter().chain(stmt.joins.iter().map(|j| &j.table)) {
-        if db.has_table(&t.name) {
-            alias_to_table.insert(
-                t.effective_alias().to_ascii_lowercase(),
-                t.name.to_ascii_lowercase(),
-            );
-        }
-    }
-    if alias_to_table.is_empty() {
+    let Ok(query) = Binder::new(db).bind(stmt) else {
         return Vec::new();
-    }
-    let single_alias = if alias_to_table.len() == 1 {
-        alias_to_table.keys().next().cloned()
-    } else {
-        None
     };
-    // Merge WHERE with JOIN ON conditions for the shape analysis.
-    let mut selection = stmt.selection.clone();
-    for j in &stmt.joins {
-        selection = Some(match selection {
-            Some(s) => beas_sql::ast::Expr::and(s, j.on.clone()),
-            None => j.on.clone(),
-        });
-    }
-    let shape = QueryShape::from_selection(selection.as_ref());
-
-    // Which alias a (possibly unqualified) column reference belongs to.
-    let resolve_alias = |qual: &Option<String>, col: &str| -> Option<String> {
-        match qual {
-            Some(a) => {
-                let a = a.to_ascii_lowercase();
-                alias_to_table.contains_key(&a).then_some(a)
-            }
-            None => {
-                if let Some(a) = &single_alias {
-                    return Some(a.clone());
-                }
-                // unique table containing this column
-                let matches: Vec<&String> = alias_to_table
-                    .iter()
-                    .filter(|(_, tbl)| {
-                        db.table_schema(tbl)
-                            .map(|s| s.column_index(col).is_some())
-                            .unwrap_or(false)
-                    })
-                    .map(|(a, _)| a)
-                    .collect();
-                (matches.len() == 1).then(|| matches[0].clone())
-            }
-        }
+    let Ok(graph) = QueryGraph::build(&query) else {
+        return Vec::new();
     };
-
-    // Per alias: constant-bound columns, join columns, and all used columns.
-    let mut bound: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut join_cols: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut used: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let note_used = |alias: &str, col: &str, used: &mut BTreeMap<String, BTreeSet<String>>| {
-        used.entry(alias.to_string())
-            .or_default()
-            .insert(col.to_ascii_lowercase());
-    };
-    for ((qual, col), _) in shape
-        .constant_bindings
-        .iter()
-        .map(|(c, v)| (c.clone(), v.clone()))
-        .chain(shape.in_list_bindings.iter().map(|(c, v)| {
-            (
-                c.clone(),
-                v.first().cloned().unwrap_or(beas_common::Value::Null),
-            )
-        }))
-    {
-        if let Some(alias) = resolve_alias(&qual, &col) {
-            bound.entry(alias.clone()).or_default().insert(col.clone());
-            note_used(&alias, &col, &mut used);
-        }
-    }
-    for (l, r) in &shape.equalities {
-        for (qual, col) in [l, r] {
-            if let Some(alias) = resolve_alias(qual, col) {
-                join_cols
-                    .entry(alias.clone())
-                    .or_default()
-                    .insert(col.clone());
-                note_used(&alias, col, &mut used);
-            }
-        }
-    }
-    for (qc, _) in &shape.filters {
-        if let Some(alias) = resolve_alias(&qc.0, &qc.1) {
-            note_used(&alias, &qc.1, &mut used);
-        }
-    }
-    // Output columns.
-    for item in &stmt.projection {
-        if let beas_sql::ast::SelectItem::Expr { expr, .. } = item {
-            for (qual, col) in expr.column_refs() {
-                if let Some(alias) = resolve_alias(&qual, &col) {
-                    note_used(&alias, &col, &mut used);
-                }
-            }
-        }
-    }
-    // GROUP BY / ORDER BY columns.
-    for e in stmt
-        .group_by
-        .iter()
-        .chain(stmt.order_by.iter().map(|o| &o.expr))
-    {
-        for (qual, col) in e.column_refs() {
-            if let Some(alias) = resolve_alias(&qual, &col) {
-                note_used(&alias, &col, &mut used);
-            }
-        }
-    }
-
     let mut out = Vec::new();
-    for (alias, table) in &alias_to_table {
-        let used_cols: Vec<String> = used
-            .get(alias)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        if used_cols.is_empty() {
-            continue;
-        }
-        let bound_cols: Vec<String> = bound
-            .get(alias)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-        let jcols: Vec<String> = join_cols
-            .get(alias)
-            .map(|s| s.iter().cloned().collect())
-            .unwrap_or_default();
-
-        let push_candidate = |x: Vec<String>, out: &mut Vec<_>| {
-            if x.is_empty() {
-                return;
-            }
-            let y: Vec<String> = used_cols
-                .iter()
-                .filter(|c| !x.contains(c))
-                .cloned()
-                .collect();
-            if y.is_empty() {
-                return;
-            }
-            out.push((table.clone(), x, y));
-        };
+    for atom in graph.atoms.iter() {
+        let bound = columns_of(atom, graph.constants.keys().chain(graph.in_lists.keys()));
+        let joined = columns_of(atom, graph.equalities.iter().flat_map(|(l, r)| [l, r]));
 
         // X = constant-bound columns.
-        push_candidate(bound_cols.clone(), &mut out);
+        push_candidate(atom, bound.clone(), &mut out);
         // X = constant-bound columns + each join column (the "fetch by key
         // propagated through a join" pattern of Example 2).
-        for jc in &jcols {
-            let mut x = bound_cols.clone();
-            if !x.contains(jc) {
-                x.push(jc.clone());
-            }
-            x.sort();
-            push_candidate(x, &mut out);
+        for jc in &joined {
+            let mut x = bound.clone();
+            x.insert(jc.clone());
+            push_candidate(atom, x, &mut out);
         }
         // X = each join column alone.
-        for jc in &jcols {
-            push_candidate(vec![jc.clone()], &mut out);
+        for jc in &joined {
+            push_candidate(atom, BTreeSet::from([jc.clone()]), &mut out);
         }
     }
     out
 }
 
+/// The columns of `atom` among `terms`.
+fn columns_of<'a>(atom: &Atom, terms: impl Iterator<Item = &'a Term>) -> BTreeSet<String> {
+    terms
+        .filter(|(a, _)| *a == atom.idx)
+        .map(|(_, col)| col.clone())
+        .collect()
+}
+
+/// Record the candidate `atom(X -> needed \ X)` unless `X` or `Y` is empty.
+fn push_candidate(
+    atom: &Atom,
+    x: BTreeSet<String>,
+    out: &mut Vec<(String, Vec<String>, Vec<String>)>,
+) {
+    let y: Vec<String> = atom.needed.difference(&x).cloned().collect();
+    if !x.is_empty() && !y.is_empty() {
+        out.push((atom.table.clone(), x.into_iter().collect(), y));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use beas_access::AsCatalog;
     use beas_common::{ColumnDef, DataType, TableSchema, Value};
     use beas_sql::SchemaProvider;
 
@@ -495,5 +375,17 @@ mod tests {
         // make sure the discovery helper sees the same schemas the binder does
         let db = db();
         assert!(db.table_schema("call").is_some());
+    }
+
+    #[test]
+    fn discovered_schema_registers_with_the_catalog() {
+        let db = db();
+        let workload =
+            vec!["SELECT pnum FROM business WHERE type = 'bank' AND region = 'east'".to_string()];
+        let (schema, report) = discover(&db, &workload, &DiscoveryConfig::default()).unwrap();
+        assert!(!report.selected.is_empty());
+        let mut catalog = AsCatalog::new();
+        let entry = catalog.register("tlc", &db, schema).unwrap();
+        assert_eq!(entry.metadata.constraint_count, report.selected.len());
     }
 }

@@ -20,6 +20,9 @@
 //!   queries that are not covered;
 //! * [`approx`] — resource-bounded approximation: the same fetch steps
 //!   under a tuple budget;
+//! * [`discovery`] — the AS catalog's **Discovery** module: mines an access
+//!   schema from a dataset and a query workload, reading each query through
+//!   the same binder and [`graph`] the checker uses;
 //! * [`analyzer`] — Fig. 3-style performance analyses;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
 //!   the storage layer and the conventional engine.
@@ -27,6 +30,7 @@
 pub mod analyzer;
 pub mod approx;
 pub mod checker;
+pub mod discovery;
 pub mod executor;
 mod fetch;
 pub mod graph;
@@ -38,6 +42,9 @@ pub mod system;
 pub use analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
 pub use approx::ApproximateExecution;
 pub use checker::{Checker, CoverageResult, FetchStep};
+pub use discovery::{
+    discover, discover_from_statements, Candidate, DiscoveryConfig, DiscoveryReport,
+};
 pub use executor::{
     execute_bounded, execute_bounded_with, execute_ctx_with, BoundedExecution, CtxResult,
     FetchConfig,

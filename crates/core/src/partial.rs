@@ -42,7 +42,7 @@ pub struct PartialOptions {
     /// saved across all reductions are below this fraction of the total
     /// base rows the residual must process.  `0.0` disables the gate
     /// (every legal reduction is applied), which is also the
-    /// `PartialOptions::default()`; [`crate::BeasSystem`] enables it at
+    /// `PartialOptions::default()`; [`crate::BeasSystem`] always runs it at
     /// [`DEFAULT_REDUCTION_MIN_SAVINGS`].
     pub reduction_min_savings: f64,
 }

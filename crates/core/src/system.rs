@@ -13,6 +13,7 @@
 use crate::analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
 use crate::approx::{execute_with_budget, ApproximateExecution};
 use crate::checker::{Checker, CoverageResult};
+use crate::discovery::{discover, DiscoveryConfig};
 use crate::executor::{execute_bounded_with, FetchConfig};
 use crate::graph::QueryGraph;
 use crate::partial::{
@@ -21,8 +22,7 @@ use crate::partial::{
 use crate::plan::BoundedPlan;
 use crate::planner::generate_bounded_plan;
 use beas_access::{
-    build_indexes, discover, AccessIndexes, AccessSchema, DiscoveryConfig, Maintainer,
-    MaintenanceOutcome, MaintenancePolicy,
+    build_indexes, AccessIndexes, AccessSchema, Maintainer, MaintenanceOutcome, MaintenancePolicy,
 };
 use beas_common::{BeasError, QuotaTracker, Result, Row, Schema, Value};
 use beas_engine::{
@@ -389,7 +389,6 @@ pub struct BeasSystem {
     /// allocator whenever a constraint or a bound changes.
     access_epoch: u64,
     maintenance_policy: MaintenancePolicy,
-    reduction_min_savings: f64,
 }
 
 impl BeasSystem {
@@ -404,7 +403,6 @@ impl BeasSystem {
             plan_cache: Arc::new(PlanCache::default()),
             access_epoch: 0,
             maintenance_policy: MaintenancePolicy::Strict,
-            reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
         }
     }
 
@@ -437,7 +435,6 @@ impl BeasSystem {
             plan_cache: Arc::clone(&self.plan_cache),
             access_epoch: self.access_epoch,
             maintenance_policy: self.maintenance_policy,
-            reduction_min_savings: self.reduction_min_savings,
         }
     }
 
@@ -488,28 +485,6 @@ impl BeasSystem {
     /// argument: a fetch step has nothing to tune.
     pub fn fetch_config(&self) -> FetchConfig {
         FetchConfig
-    }
-
-    /// Set the partial-reduction cost gate threshold: a covered relation is
-    /// only swapped for its bounded subset when the *predicted* savings
-    /// ratio clears `threshold` (and the whole bounded stage is skipped
-    /// when the total predicted savings are below that fraction of the base
-    /// rows the residual must process).  `0.0` disables the gate; the
-    /// default is [`DEFAULT_REDUCTION_MIN_SAVINGS`].
-    pub fn with_partial_reduction_threshold(mut self, threshold: f64) -> Self {
-        self.reduction_min_savings = threshold;
-        self
-    }
-
-    /// The partial-reduction cost gate threshold.
-    pub fn partial_reduction_threshold(&self) -> f64 {
-        self.reduction_min_savings
-    }
-
-    fn partial_options(&self) -> PartialOptions {
-        PartialOptions {
-            reduction_min_savings: self.reduction_min_savings,
-        }
     }
 
     /// The underlying database.
@@ -891,7 +866,8 @@ impl BeasSystem {
                 metrics: result.metrics,
             });
         }
-        // Partially bounded (or conventional) evaluation.
+        // Partially bounded (or conventional) evaluation: a covered relation
+        // is reduced only when its predicted savings clear the default gate.
         let partial = execute_partially_bounded_with(
             &self.db,
             &self.fallback,
@@ -899,7 +875,9 @@ impl BeasSystem {
             graph,
             coverage,
             &self.indexes,
-            self.partial_options(),
+            PartialOptions {
+                reduction_min_savings: DEFAULT_REDUCTION_MIN_SAVINGS,
+            },
             quota,
         )?;
         let mode = if partial.reduced_relations.is_empty() {
@@ -1384,8 +1362,19 @@ mod tests {
 
     #[test]
     fn uncovered_query_runs_partially_bounded_with_exact_answers() {
-        // gate disabled: this test pins the reduction machinery itself
-        let beas = system().with_partial_reduction_threshold(0.0);
+        // 120 businesses of other types make `business` the bulk of the base
+        // rows, so reducing it to the banks clears the default cost gate.
+        let mut beas = system();
+        let others = (0..120)
+            .map(|i| {
+                vec![
+                    Value::str(format!("x{i}")),
+                    Value::str(if i % 2 == 0 { "gym" } else { "cafe" }),
+                    Value::str("r9"),
+                ]
+            })
+            .collect();
+        beas.insert_rows("business", others).unwrap();
         let report = beas.check(UNCOVERED).unwrap();
         assert!(!report.covered);
         let outcome = beas.execute_sql(UNCOVERED).unwrap();
@@ -1403,10 +1392,6 @@ mod tests {
         // rows): the system must route it to pure conventional evaluation —
         // with identical answers — and report the mode honestly.
         let beas = system();
-        assert_eq!(
-            beas.partial_reduction_threshold(),
-            crate::partial::DEFAULT_REDUCTION_MIN_SAVINGS
-        );
         let outcome = beas.execute_sql(UNCOVERED).unwrap();
         assert_eq!(outcome.mode, EvaluationMode::Conventional);
         let baseline = Engine::default().run(beas.database(), UNCOVERED).unwrap();

@@ -173,7 +173,7 @@ mod tests {
     fn file_context_classification() {
         assert!(FileContext::from_path("crates/core/src/lib.rs").is_crate_root);
         assert!(FileContext::from_path("src/lib.rs").is_crate_root);
-        assert!(FileContext::from_path("crates/bench/src/bin/bench_gate.rs").is_crate_root);
+        assert!(FileContext::from_path("crates/bench/src/bin/fig3_report.rs").is_crate_root);
         assert!(!FileContext::from_path("crates/shims/rand/src/lib.rs").is_crate_root);
         assert!(!FileContext::from_path("crates/core/src/system.rs").is_crate_root);
         assert!(FileContext::from_path("crates/service/tests/concurrency.rs").is_test_code);

@@ -304,7 +304,7 @@ pub struct SessionOutcome {
 impl QueryService {
     /// Wrap a configured system (knobs like
     /// [`BeasSystem::with_exec_fallback`] or
-    /// [`BeasSystem::with_partial_reduction_threshold`] are applied before
+    /// [`BeasSystem::with_fallback_profile`] are applied before
     /// construction) into a service.
     pub fn new(system: BeasSystem) -> Self {
         let metrics = ServiceMetrics::default();

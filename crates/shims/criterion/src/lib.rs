@@ -6,32 +6,12 @@
 //! baselines — just enough to keep `cargo bench` runnable and the bench
 //! sources compiling unchanged.
 //!
-//! Two environment variables support CI bench-smoke runs:
-//!
-//! * `BEAS_BENCH_FAST=1` caps every group's sample size at 2, so a full
-//!   bench binary finishes in seconds;
-//! * `BEAS_BENCH_JSON=<path>` writes a machine-readable report of every
-//!   `{group, bench, mean_ns, iterations}` when the bench binary exits
-//!   (hooked by `criterion_main!`), giving the repository a committed perf
-//!   trajectory (`BENCH_micro.json`) that future changes can be diffed
-//!   against.
+//! `BEAS_BENCH_FAST=1` caps every group's sample size at 2, so a full bench
+//! binary finishes in seconds.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
-
-/// One finished benchmark, recorded for the optional JSON report.
-#[derive(Debug, Clone)]
-struct BenchRecord {
-    group: String,
-    bench: String,
-    mean_ns: u128,
-    iterations: usize,
-}
-
-/// Results of every bench run in this process, in execution order.
-static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
 
 /// Entry point handed to each benchmark function by `criterion_group!`.
 #[derive(Debug, Default)]
@@ -107,57 +87,7 @@ impl BenchmarkGroup<'_> {
             "{}/{:<40} time: {:>12.3?}  ({} iterations)",
             self.name, id, mean, bencher.iterations
         );
-        RESULTS
-            .lock()
-            .expect("bench results lock")
-            .push(BenchRecord {
-                group: self.name.clone(),
-                bench: id.to_string(),
-                mean_ns: mean.as_nanos(),
-                iterations: bencher.iterations,
-            });
     }
-}
-
-/// Write the JSON report to `$BEAS_BENCH_JSON` if requested.  Called by the
-/// `main` that `criterion_main!` generates, once every group has run.
-pub fn write_json_report_if_requested() {
-    let Ok(path) = std::env::var("BEAS_BENCH_JSON") else {
-        return;
-    };
-    if path.is_empty() {
-        return;
-    }
-    let results = RESULTS.lock().expect("bench results lock");
-    let mut out = String::from("{\n  \"benches\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let sep = if i + 1 < results.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"group\": \"{}\", \"bench\": \"{}\", \"mean_ns\": {}, \"iterations\": {}}}{}\n",
-            json_escape(&r.group),
-            json_escape(&r.bench),
-            r.mean_ns,
-            r.iterations,
-            sep
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(&path, out) {
-        eprintln!("failed to write bench report {path}: {e}");
-    } else {
-        println!("bench report written to {path}");
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if c.is_control() => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Identifier combining a function name and an input parameter.
@@ -220,7 +150,6 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
-            $crate::write_json_report_if_requested();
         }
     };
 }
@@ -242,17 +171,5 @@ mod tests {
         group.finish();
         // 1 warm-up + 3 samples
         assert_eq!(calls, 4);
-        // results were recorded for the JSON report
-        let results = RESULTS.lock().unwrap();
-        assert!(results
-            .iter()
-            .any(|r| r.group == "shim" && r.bench == "counting" && r.iterations == 3));
-    }
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_escape("plain_name"), "plain_name");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
     }
 }

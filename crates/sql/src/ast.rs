@@ -289,49 +289,6 @@ impl Expr {
         }
     }
 
-    /// Collect every column reference appearing in the expression.
-    pub fn column_refs(&self) -> Vec<(Option<String>, String)> {
-        let mut out = Vec::new();
-        self.visit_columns(&mut |t, n| out.push((t.map(|s| s.to_string()), n.to_string())));
-        out
-    }
-
-    /// Visit every column reference in the expression.
-    pub fn visit_columns<'a>(&'a self, f: &mut impl FnMut(Option<&'a str>, &'a str)) {
-        match self {
-            Expr::Column { table, name } => f(table.as_deref(), name),
-            Expr::Literal(_) | Expr::Param(_) => {}
-            Expr::BinaryOp { left, right, .. } => {
-                left.visit_columns(f);
-                right.visit_columns(f);
-            }
-            Expr::UnaryOp { expr, .. } => expr.visit_columns(f),
-            Expr::IsNull { expr, .. } => expr.visit_columns(f),
-            Expr::InList { expr, list, .. } => {
-                expr.visit_columns(f);
-                for e in list {
-                    e.visit_columns(f);
-                }
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                expr.visit_columns(f);
-                low.visit_columns(f);
-                high.visit_columns(f);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.visit_columns(f);
-                pattern.visit_columns(f);
-            }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.visit_columns(f);
-                }
-            }
-        }
-    }
-
     /// Whether the expression contains an aggregate function call.
     pub fn contains_aggregate(&self) -> bool {
         match self {
@@ -528,7 +485,6 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("call.pnum = package.pnum"));
         assert!(s.contains("'2016-07-04'"));
-        assert_eq!(e.column_refs().len(), 3);
         assert!(!e.contains_aggregate());
     }
 

@@ -17,7 +17,6 @@
 //!   (optionally `DISTINCT`), `GROUP BY`, `HAVING`;
 //! * `ORDER BY ... [ASC|DESC]`, `LIMIT n`.
 
-pub mod analysis;
 pub mod ast;
 pub mod binder;
 pub mod columnar;
@@ -25,7 +24,6 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 
-pub use analysis::{classify_conjuncts, split_conjuncts, ConjunctClass, QueryShape};
 pub use ast::{
     BinaryOperator, Expr, JoinClause, Literal, OrderByItem, SelectItem, SelectStatement, Statement,
     TableRef, UnaryOperator,

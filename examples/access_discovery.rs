@@ -9,7 +9,8 @@
 //! cargo run --release --example access_discovery
 //! ```
 
-use beas::access::{AsCatalog, DiscoveryConfig, MaintenancePolicy};
+use beas::access::{AsCatalog, MaintenancePolicy};
+use beas::core::{discover, DiscoveryConfig};
 use beas::prelude::*;
 
 fn main() -> Result<()> {
@@ -22,7 +23,8 @@ fn main() -> Result<()> {
         storage_budget_bytes: Some(4 * 1024 * 1024),
         ..Default::default()
     };
-    let (report, registered) = catalog.discover_and_register("tlc", &db, &workload, &config)?;
+    let (schema, report) = discover(&db, &workload, &config)?;
+    let registered = catalog.register("tlc", &db, schema)?;
     println!(
         "discovery considered {} candidates, selected {} constraints (~{} KiB of indices)",
         report.candidates.len(),

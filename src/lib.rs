@@ -13,8 +13,9 @@
 //! * [`sql`] — SQL lexer/parser/binder for the supported fragment;
 //! * [`storage`] — in-memory tables, catalog and indices;
 //! * [`engine`] — the conventional (baseline) DBMS engine;
-//! * [`access`] — access constraints, conformance, discovery, maintenance;
-//! * [`core`] — the BEAS bounded-evaluation layer (checker, planner, executor);
+//! * [`access`] — access constraints, conformance, indices, maintenance;
+//! * [`core`] — the BEAS bounded-evaluation layer (checker, planner, executor,
+//!   access-schema discovery);
 //! * [`tlc`] — the TLC telecom benchmark used in the paper's evaluation.
 //!
 //! ## Quick example

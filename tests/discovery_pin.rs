@@ -4,7 +4,7 @@
 //! and whether the greedy selection kept it.  Any change to how discovery
 //! reads a query shows up here as a changed row.
 
-use beas::access::{discover, DiscoveryConfig};
+use beas::core::{discover, DiscoveryConfig};
 
 /// `(constraint id, N, observed max, queries helped, selected)` in ranking
 /// order.

@@ -163,7 +163,7 @@ fn discovered_schema_supports_bounded_evaluation() {
     let system = BeasSystem::from_discovery(
         db,
         &beas::tlc::workload(),
-        &beas::access::DiscoveryConfig::default(),
+        &beas::core::DiscoveryConfig::default(),
     )
     .unwrap();
     assert!(!system.access_schema().is_empty());
