@@ -1,9 +1,9 @@
 //! Criterion benchmark behind Fig. 4: Q1 at growing scale factors, BEAS vs
-//! the pg-like baseline.  The flat-vs-growing shape of the two series is the
+//! the conventional engine.  The flat-vs-growing shape of the two series is the
 //! paper's scale-independence result.
 
 use beas_bench::BenchEnv;
-use beas_engine::{Engine, OptimizerProfile};
+use beas_engine::Engine;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -16,8 +16,8 @@ fn fig4(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("beas", scale), &scale, |b, _| {
             b.iter(|| black_box(env.system.execute_sql(black_box(&q1)).unwrap().rows.len()))
         });
-        let engine = Engine::new(OptimizerProfile::PgLike);
-        group.bench_with_input(BenchmarkId::new("pg_like", scale), &scale, |b, _| {
+        let engine = Engine::default();
+        group.bench_with_input(BenchmarkId::new("engine", scale), &scale, |b, _| {
             b.iter(|| {
                 black_box(
                     engine

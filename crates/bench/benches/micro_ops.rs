@@ -6,7 +6,7 @@
 
 use beas_bench::BenchEnv;
 use beas_common::Value;
-use beas_engine::{Engine, ExecProfile, OptimizerProfile};
+use beas_engine::{Engine, ExecProfile};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -43,10 +43,8 @@ fn micro(c: &mut Criterion) {
     // answer-invisible.  The row-vs-vectorized numbers are recorded in
     // crates/bench/README.md.
     {
-        let vectorized =
-            Engine::new(OptimizerProfile::PgLike).with_exec_profile(ExecProfile::Vectorized);
-        let rowpath =
-            Engine::new(OptimizerProfile::PgLike).with_exec_profile(ExecProfile::RowAtATime);
+        let vectorized = Engine::default().with_exec_profile(ExecProfile::Vectorized);
+        let rowpath = Engine::default().with_exec_profile(ExecProfile::RowAtATime);
         let cases: [(&str, String); 3] = [
             (
                 "scan_filter",
@@ -70,7 +68,7 @@ fn micro(c: &mut Criterion) {
     // costs when timing is disabled; the timing run documents what full
     // per-operator clocks cost.
     {
-        let engine = Engine::new(OptimizerProfile::PgLike);
+        let engine = Engine::default();
         let q1 = env.q1();
         for (name, level) in [
             ("trace_off_q1_pipeline", beas_obs::TraceLevel::Off),

@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! Runs the full TLC workload (Q1–Q11) through BEAS and the pg-like baseline,
+//! Runs the full TLC workload (Q1–Q11) through BEAS and the conventional engine,
 //! backing the paper's claim that BEAS "outperforms commercial DBMS by orders
 //! of magnitude for more than 90% of their queries".
 //!
@@ -8,7 +8,6 @@
 //! ```
 
 use beas_bench::{speedup, BenchEnv};
-use beas_engine::OptimizerProfile;
 
 fn main() {
     let scale: u32 = std::env::args()
@@ -34,7 +33,7 @@ fn main() {
     for q in &queries {
         let report = env.system.check(&q.sql).expect("check succeeds");
         let (beas_time, beas_tuples, _) = env.run_beas(&q.sql);
-        let (dbms_time, result) = env.run_baseline(OptimizerProfile::PgLike, &q.sql);
+        let (dbms_time, result) = env.run_baseline(&q.sql);
         let dbms_tuples = result.metrics.total_tuples_accessed();
         let ratio = speedup(dbms_time, beas_time);
         if ratio > 1.0 {

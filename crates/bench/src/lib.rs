@@ -4,7 +4,7 @@
 //! Reproductions of the BEAS paper's evaluation artefacts:
 //!
 //! * **Fig. 3 / Example 2** — per-operation breakdown and acceleration of Q1
-//!   over the three baseline profiles (`fig3_report` binary);
+//!   over the conventional engine (`fig3_report` binary);
 //! * **Fig. 4** — scalability of Q1 as the TLC dataset grows
 //!   (`fig4_report` binary, `fig4_scalability` Criterion bench);
 //! * **the ">90 % of queries" claim** — all 11 TLC queries through BEAS and
@@ -18,7 +18,7 @@
 //! configurations.
 
 use beas_core::BeasSystem;
-use beas_engine::{Engine, OptimizerProfile, QueryResult};
+use beas_engine::{Engine, QueryResult};
 use beas_storage::Database;
 use beas_tlc::{generate, tlc_access_schema, TlcConfig};
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ pub struct BenchEnv {
     pub total_rows: usize,
     /// The BEAS system (database + access schema + indices).
     pub system: BeasSystem,
-    /// A copy of the database for the baseline engines.
+    /// A copy of the database for the conventional engine.
     pub baseline_db: Database,
 }
 
@@ -67,11 +67,10 @@ impl BenchEnv {
         (start.elapsed(), outcome.tuples_accessed, outcome.rows.len())
     }
 
-    /// Run a query through one baseline profile.
-    pub fn run_baseline(&self, profile: OptimizerProfile, sql: &str) -> (Duration, QueryResult) {
-        let engine = Engine::new(profile);
+    /// Run a query through the conventional engine.
+    pub fn run_baseline(&self, sql: &str) -> (Duration, QueryResult) {
         let start = Instant::now();
-        let result = engine
+        let result = Engine::default()
             .run(&self.baseline_db, sql)
             .expect("baseline execution succeeds");
         (start.elapsed(), result)
@@ -93,7 +92,7 @@ mod tests {
         assert_eq!(env.scale_factor, 1);
         assert!(env.total_rows > 5_000);
         let (beas_time, tuples, _) = env.run_beas(&env.q1());
-        let (pg_time, result) = env.run_baseline(OptimizerProfile::PgLike, &env.q1());
+        let (pg_time, result) = env.run_baseline(&env.q1());
         assert!(tuples < result.metrics.total_tuples_accessed());
         assert!(speedup(pg_time, beas_time) > 0.0);
     }

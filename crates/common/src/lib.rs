@@ -2,7 +2,7 @@
 //! # beas-common
 //!
 //! Shared foundation types for the BEAS bounded-evaluation engine:
-//! SQL values, data types, dates, relation schemas, tuples (including the
+//! SQL values, data types, dates, relation schemas, rows (including the
 //! *partial tuples* that bounded plans fetch through access-constraint
 //! indices), and the crate-wide error type.
 //!
@@ -33,6 +33,6 @@ pub use quota::{QuotaTracker, ResourceQuota};
 pub use rowref::{dedupe, RowRef, RowSeg, ValueRow};
 pub use schema::{ColumnDef, ColumnRef, Field, Schema, TableSchema};
 pub use stream::RowStream;
-pub use tuple::{Row, Tuple};
+pub use tuple::Row;
 pub use types::DataType;
 pub use value::Value;

@@ -1,90 +1,13 @@
-//! Tuples (rows) and partial tuples.
+//! Rows.
 //!
 //! The central data-reduction idea of BEAS is that bounded plans fetch only
 //! the *distinct partial tuples* `D_Y(X = ā)` required by the query, never
-//! whole base-table rows.  We therefore keep rows as plain `Vec<Value>` and
-//! provide projection helpers that produce partial tuples without copying the
-//! source row more than once.
+//! whole base-table rows.  A row, whole or partial, is a plain `Vec<Value>`.
 
-use crate::error::{BeasError, Result};
 use crate::value::Value;
-use std::fmt;
 
 /// A row of values; the unit of data flowing between physical operators.
 pub type Row = Vec<Value>;
-
-/// An owned tuple wrapper with convenience accessors used by tests, examples
-/// and the fetch operator.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Tuple {
-    values: Vec<Value>,
-}
-
-impl Tuple {
-    /// Build a tuple from values.
-    pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
-    }
-
-    /// The underlying values.
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    /// Consume the tuple and return the underlying row.
-    pub fn into_row(self) -> Row {
-        self.values
-    }
-
-    /// Number of values.
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the tuple has no values.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Value at position `i`, with bounds checking.
-    pub fn get(&self, i: usize) -> Result<&Value> {
-        self.values.get(i).ok_or_else(|| {
-            BeasError::execution(format!(
-                "tuple index {i} out of bounds (arity {})",
-                self.values.len()
-            ))
-        })
-    }
-
-    /// Project the tuple onto the given column indices, producing a partial
-    /// tuple in the order of `indices`.
-    pub fn project(&self, indices: &[usize]) -> Result<Tuple> {
-        let mut out = Vec::with_capacity(indices.len());
-        for &i in indices {
-            out.push(self.get(i)?.clone());
-        }
-        Ok(Tuple::new(out))
-    }
-}
-
-impl From<Vec<Value>> for Tuple {
-    fn from(values: Vec<Value>) -> Self {
-        Tuple::new(values)
-    }
-}
-
-impl fmt::Display for Tuple {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.values.iter().map(|v| v.render()).collect();
-        write!(f, "({})", parts.join(", "))
-    }
-}
-
-/// Project a plain row onto `indices` (helper shared by operators that work
-/// with `Row` directly rather than `Tuple`).
-pub fn project_row(row: &[Value], indices: &[usize]) -> Row {
-    indices.iter().map(|&i| row[i].clone()).collect()
-}
 
 /// Render a batch of rows as an aligned text table — used by examples and the
 /// performance-analysis reports.
@@ -130,44 +53,6 @@ pub fn render_rows(headers: &[String], rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tuple_accessors() {
-        let t = Tuple::new(vec![Value::Int(1), Value::str("x")]);
-        assert_eq!(t.arity(), 2);
-        assert!(!t.is_empty());
-        assert_eq!(t.get(0).unwrap(), &Value::Int(1));
-        assert!(t.get(2).is_err());
-        assert_eq!(t.to_string(), "(1, x)");
-    }
-
-    #[test]
-    fn projection_produces_partial_tuples() {
-        let t = Tuple::new(vec![
-            Value::str("13800000000"),
-            Value::str("13900000001"),
-            Value::str("2016-07-04"),
-            Value::str("east"),
-        ]);
-        let p = t.project(&[1, 3]).unwrap();
-        assert_eq!(
-            p,
-            Tuple::new(vec![Value::str("13900000001"), Value::str("east")])
-        );
-        assert!(t.project(&[9]).is_err());
-        // order of indices is respected
-        let p2 = t.project(&[3, 1]).unwrap();
-        assert_eq!(p2.values()[0], Value::str("east"));
-    }
-
-    #[test]
-    fn project_row_helper() {
-        let row = vec![Value::Int(1), Value::Int(2), Value::Int(3)];
-        assert_eq!(
-            project_row(&row, &[2, 0]),
-            vec![Value::Int(3), Value::Int(1)]
-        );
-    }
 
     #[test]
     fn render_rows_aligns_columns() {

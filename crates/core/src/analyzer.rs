@@ -2,21 +2,25 @@
 //!
 //! After a query plan is carried out, the demo shows a performance analysis
 //! (Fig. 3): the overall execution time, the acceleration ratio compared to
-//! commercial DBMSs, the total number of tuples fetched and the number of
+//! a conventional DBMS, the total number of tuples fetched and the number of
 //! access constraints employed, plus a per-operation cost breakdown for both
-//! BEAS and the conventional plans.  This module renders exactly that report
-//! from the metrics the executors already collect.
+//! BEAS and the conventional plan.  [`QueryAnalysis`] renders exactly that
+//! report from the metrics the executors already collect.
 
 use crate::system::EvaluationMode;
 use beas_engine::analyze::render_line;
-use beas_engine::{format_duration, AnalyzeNode, ExecutionMetrics, OptimizerProfile};
+use beas_engine::{format_duration, AnalyzeNode, ExecutionMetrics};
 use std::fmt;
 use std::time::Duration;
 
-/// The measurements of one system (BEAS or one baseline profile) on a query.
+/// The name reports give the conventional engine BEAS is compared with.
+pub(crate) const BASELINE_LABEL: &str = "conventional engine";
+
+/// The measurements of one system (BEAS or the conventional engine) on a
+/// query.
 #[derive(Debug, Clone)]
 pub struct SystemMeasurement {
-    /// Display name, e.g. `BEAS`, `pg-like (PostgreSQL)`.
+    /// Display name: `BEAS` or `conventional engine`.
     pub system: String,
     /// Total execution time.
     pub elapsed: Duration,
@@ -38,96 +42,6 @@ impl SystemMeasurement {
             rows,
             metrics,
         }
-    }
-
-    /// Label for a baseline profile.
-    pub fn baseline_label(profile: OptimizerProfile) -> String {
-        format!("{} ({})", profile.name(), profile.stands_in_for())
-    }
-}
-
-/// A Fig. 3-style performance analysis of one query.
-#[derive(Debug, Clone)]
-pub struct PerformanceAnalysis {
-    /// The SQL text analysed.
-    pub sql: String,
-    /// Whether BEAS answered it with a (fully) bounded plan.
-    pub bounded: bool,
-    /// Number of access constraints employed by the plan.
-    pub constraints_used: usize,
-    /// Deduced upper bound on tuples accessed (fully bounded plans only).
-    pub deduced_bound: Option<u64>,
-    /// The BEAS measurement.
-    pub beas: SystemMeasurement,
-    /// Baseline measurements (one per optimizer profile compared against).
-    pub baselines: Vec<SystemMeasurement>,
-}
-
-impl PerformanceAnalysis {
-    /// Speed-up of BEAS over a baseline (baseline time / BEAS time).
-    pub fn speedup_over(&self, baseline: &SystemMeasurement) -> f64 {
-        let beas = self.beas.elapsed.as_secs_f64().max(1e-9);
-        baseline.elapsed.as_secs_f64() / beas
-    }
-
-    /// Data-access reduction factor over a baseline
-    /// (baseline tuples / BEAS tuples).
-    pub fn access_reduction_over(&self, baseline: &SystemMeasurement) -> f64 {
-        let beas = self.beas.tuples_accessed.max(1) as f64;
-        baseline.tuples_accessed as f64 / beas
-    }
-
-    /// Render the analysis in the style of the demo's Fig. 3 panel.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("query: {}\n", self.sql));
-        out.push_str(&format!(
-            "plan: {}   access constraints used: {}   deduced bound: {}\n",
-            if self.bounded {
-                "bounded"
-            } else {
-                "partially bounded / conventional"
-            },
-            self.constraints_used,
-            self.deduced_bound
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "n/a".to_string()),
-        ));
-        out.push_str(&format!(
-            "{:<28} {:>14} {:>16} {:>12} {:>12}\n",
-            "system", "time", "tuples accessed", "answers", "speed-up"
-        ));
-        out.push_str(&format!(
-            "{:<28} {:>14} {:>16} {:>12} {:>12}\n",
-            self.beas.system,
-            format_duration(self.beas.elapsed),
-            self.beas.tuples_accessed,
-            self.beas.rows,
-            "1.00x"
-        ));
-        for b in &self.baselines {
-            out.push_str(&format!(
-                "{:<28} {:>14} {:>16} {:>12} {:>11.0}x\n",
-                b.system,
-                format_duration(b.elapsed),
-                b.tuples_accessed,
-                b.rows,
-                self.speedup_over(b)
-            ));
-        }
-        out.push_str("\n-- BEAS per-operation breakdown --\n");
-        out.push_str(&self.beas.metrics.render());
-        for b in &self.baselines {
-            out.push_str(&format!("\n-- {} per-operation breakdown --\n", b.system));
-            out.push_str(&b.metrics.render());
-        }
-        out
-    }
-}
-
-impl fmt::Display for PerformanceAnalysis {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
     }
 }
 
@@ -169,6 +83,12 @@ impl QueryAnalysis {
         self.mode == EvaluationMode::Bounded
     }
 
+    /// Speed-up of BEAS over the conventional engine (baseline time / BEAS
+    /// time).
+    pub fn speedup(&self) -> f64 {
+        self.baseline.elapsed.as_secs_f64() / self.beas.elapsed.as_secs_f64().max(1e-9)
+    }
+
     /// Data-access reduction factor (baseline tuples / BEAS tuples).
     pub fn access_reduction(&self) -> f64 {
         self.baseline.tuples_accessed as f64 / self.beas.tuples_accessed.max(1) as f64
@@ -203,6 +123,7 @@ impl QueryAnalysis {
                 m.rows,
             ));
         }
+        out.push_str(&format!("speed-up: {:.1}x\n", self.speedup()));
         out.push_str(&format!(
             "data-access reduction: {:.1}x\n",
             self.access_reduction()
@@ -240,61 +161,55 @@ impl fmt::Display for QueryAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
-    fn metrics(ms: u64, tuples: u64) -> ExecutionMetrics {
+    fn measurement(system: &str, ms: u64, tuples: u64) -> SystemMeasurement {
         let mut m = ExecutionMetrics::new();
         m.record("op", 10, tuples, Duration::from_millis(ms));
         m.elapsed = Duration::from_millis(ms);
-        m
+        SystemMeasurement::new(system, m, 5)
+    }
+
+    fn analysis(beas: SystemMeasurement, baseline: SystemMeasurement) -> QueryAnalysis {
+        let baseline_tree = AnalyzeNode {
+            label: "SeqScan(t)".into(),
+            metric: baseline.metrics.operators[0].clone(),
+            annotations: Vec::new(),
+            children: Vec::new(),
+        };
+        QueryAnalysis {
+            sql: "q".into(),
+            mode: EvaluationMode::Conventional,
+            deduced_bound: None,
+            constraints_used: 0,
+            beas,
+            beas_finalization: None,
+            baseline,
+            baseline_tree,
+        }
     }
 
     #[test]
-    fn speedups_and_render() {
-        let analysis = PerformanceAnalysis {
-            sql: "SELECT 1 FROM t".into(),
-            bounded: true,
-            constraints_used: 3,
-            deduced_bound: Some(12_024_000),
-            beas: SystemMeasurement::new("BEAS", metrics(1, 100), 5),
-            baselines: vec![
-                SystemMeasurement::new(
-                    SystemMeasurement::baseline_label(OptimizerProfile::PgLike),
-                    metrics(1953, 1_000_000),
-                    5,
-                ),
-                SystemMeasurement::new(
-                    SystemMeasurement::baseline_label(OptimizerProfile::MySqlLike),
-                    metrics(6562, 1_000_000),
-                    5,
-                ),
-            ],
-        };
-        let speedup = analysis.speedup_over(&analysis.baselines[0]);
-        assert!((speedup - 1953.0).abs() < 1.0);
-        assert!(analysis.access_reduction_over(&analysis.baselines[0]) > 9_000.0);
-        let s = analysis.render();
-        assert!(s.contains("BEAS"));
-        assert!(s.contains("pg-like (PostgreSQL)"));
-        assert!(s.contains("deduced bound: 12024000"));
-        assert!(s.contains("per-operation breakdown"));
-        assert_eq!(format!("{analysis}"), s);
+    fn speedup_and_reduction_are_baseline_over_beas() {
+        let a = analysis(
+            measurement("BEAS", 1, 100),
+            measurement(BASELINE_LABEL, 1953, 1_000_000),
+        );
+        assert!((a.speedup() - 1953.0).abs() < 1e-6);
+        assert!((a.access_reduction() - 10_000.0).abs() < 1e-6);
+        let text = a.render();
+        assert!(text.contains("speed-up: 1953.0x"), "{text}");
+        assert!(text.contains(BASELINE_LABEL));
+        assert_eq!(format!("{a}"), text);
     }
 
     #[test]
     fn handles_zero_division_gracefully() {
-        let analysis = PerformanceAnalysis {
-            sql: "q".into(),
-            bounded: false,
-            constraints_used: 0,
-            deduced_bound: None,
-            beas: SystemMeasurement::new("BEAS", ExecutionMetrics::new(), 0),
-            baselines: vec![SystemMeasurement::new("base", metrics(10, 10), 0)],
-        };
-        assert!(analysis.speedup_over(&analysis.baselines[0]).is_finite());
-        assert!(analysis
-            .access_reduction_over(&analysis.baselines[0])
-            .is_finite());
-        assert!(analysis.render().contains("n/a"));
+        let a = analysis(
+            SystemMeasurement::new("BEAS", ExecutionMetrics::new(), 0),
+            measurement(BASELINE_LABEL, 10, 10),
+        );
+        assert!(a.speedup().is_finite());
+        assert!(a.access_reduction().is_finite());
+        assert!(a.render().contains("n/a"));
     }
 }

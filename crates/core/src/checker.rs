@@ -3,8 +3,7 @@
 //! Bounded evaluability is undecidable for full relational algebra, but the
 //! Feasibility Theorem gives an effective syntax: a PTIME-checkable class of
 //! *covered* queries that captures boundedly evaluable queries up to
-//! equivalent rewriting.  The check implemented here is the fixpoint
-//! described in DESIGN.md §5.1:
+//! equivalent rewriting.  The check implemented here is this fixpoint:
 //!
 //! * terms equated to constants are initially **accessible**: their value
 //!   can key a lookup;

@@ -23,7 +23,7 @@
 //! * [`discovery`] — the AS catalog's **Discovery** module: mines an access
 //!   schema from a dataset and a query workload, reading each query through
 //!   the same binder and [`graph`] the checker uses;
-//! * [`analyzer`] — Fig. 3-style performance analyses;
+//! * [`analyzer`] — the Fig. 3-style BEAS-versus-engine report;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
 //!   the storage layer and the conventional engine.
 
@@ -39,7 +39,7 @@ pub mod plan;
 pub mod planner;
 pub mod system;
 
-pub use analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
+pub use analyzer::{QueryAnalysis, SystemMeasurement};
 pub use approx::ApproximateExecution;
 pub use checker::{Checker, CoverageResult, FetchStep};
 pub use discovery::{

@@ -10,7 +10,7 @@
 //!    plans, everything else runs as a partially bounded plan over the
 //!    conventional engine, exactly as described in §3 of the paper.
 
-use crate::analyzer::{PerformanceAnalysis, QueryAnalysis, SystemMeasurement};
+use crate::analyzer::{QueryAnalysis, SystemMeasurement, BASELINE_LABEL};
 use crate::approx::{execute_with_budget, ApproximateExecution};
 use crate::checker::{Checker, CoverageResult};
 use crate::discovery::{discover, DiscoveryConfig};
@@ -26,8 +26,8 @@ use beas_access::{
 };
 use beas_common::{BeasError, QuotaTracker, Result, Row, Schema, Value};
 use beas_engine::{
-    analyze_tree, Engine, ExecOptions, ExecProfile, ExecutionMetrics, OptimizerProfile,
-    ParallelConfig, PlanCacheOutcome, PlanCacheStats,
+    analyze_tree, Engine, ExecOptions, ExecProfile, ExecutionMetrics, ParallelConfig,
+    PlanCacheOutcome, PlanCacheStats,
 };
 use beas_sql::{lift_literals, parse_select, Binder, BoundQuery};
 use beas_storage::Database;
@@ -162,9 +162,10 @@ impl PreparedQuery {
 /// The plan cache: one plan per query **shape**, behind an exact-match
 /// front keyed by text.
 ///
-/// * `texts` maps normalized SQL text to the statement's prepared query.  A
-///   repeated text costs one hash lookup and nothing else — no lexing, no
-///   copying.
+/// * `texts` maps SQL text, as submitted, to the statement's prepared
+///   query.  A repeated text costs one hash lookup and nothing else — no
+///   lexing, no copying.  A re-cased, re-spaced or commented text is a new
+///   text of a known shape: the lexer pass below reaches its plan.
 /// * `shapes` maps a shape key ([`lift_literals`]: the statement with the
 ///   literals of WHERE / JOIN ON / HAVING replaced by typed placeholders) to
 ///   the shape's *template*: the prepared query whose literal-carrying
@@ -316,55 +317,6 @@ impl PlanCache {
     }
 }
 
-/// Normalize SQL text into the key of the cache's text map: `--` line comments are dropped,
-/// whitespace runs collapse to one space, and everything *outside*
-/// single-quoted literals is lowercased, so reformatted or re-cased
-/// submissions of the same query share an entry.  Literal contents are
-/// preserved byte-for-byte — `'East'` and `'east'` are different queries.
-/// Comments must be stripped, not kept: an apostrophe inside one would
-/// otherwise flip the literal tracking and let different queries collide
-/// on one cache key.
-fn normalize_sql(sql: &str) -> String {
-    let mut out = String::with_capacity(sql.len());
-    let mut chars = sql.chars().peekable();
-    let mut in_literal = false;
-    let mut pending_space = false;
-    while let Some(c) = chars.next() {
-        if in_literal {
-            out.push(c);
-            if c == '\'' {
-                in_literal = false;
-            }
-            continue;
-        }
-        if c == '-' && chars.peek() == Some(&'-') {
-            // line comment (same rule as the lexer): acts as whitespace
-            for skipped in chars.by_ref() {
-                if skipped == '\n' {
-                    break;
-                }
-            }
-            pending_space = true;
-            continue;
-        }
-        if c.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space && !out.is_empty() {
-            out.push(' ');
-        }
-        pending_space = false;
-        if c == '\'' {
-            in_literal = true;
-            out.push(c);
-        } else {
-            out.extend(c.to_lowercase());
-        }
-    }
-    out
-}
-
 /// The BEAS system.
 ///
 /// The struct is `Sync`: every read path (`check`, `execute_sql`,
@@ -399,7 +351,7 @@ impl BeasSystem {
             db,
             schema,
             indexes,
-            fallback: Engine::new(OptimizerProfile::PgLike),
+            fallback: Engine::default(),
             plan_cache: Arc::new(PlanCache::default()),
             access_epoch: 0,
             maintenance_policy: MaintenancePolicy::Strict,
@@ -454,12 +406,6 @@ impl BeasSystem {
         BeasSystem::with_schema(db, schema)
     }
 
-    /// Replace the conventional engine used for fallback / residual plans.
-    pub fn with_fallback_profile(mut self, profile: OptimizerProfile) -> Self {
-        self.fallback = Engine::new(profile).with_exec_profile(self.fallback.exec_profile());
-        self
-    }
-
     /// The fallback engine's columnar-scan morsel size (always the default:
     /// kept for the callers that configure an engine like the fallback).
     pub fn parallel_fallback(&self) -> ParallelConfig {
@@ -509,7 +455,7 @@ impl BeasSystem {
     }
 
     /// Prepare `sql` — parse → bind → graph → coverage check → bounded plan
-    /// — through the plan cache.  A repeated (normalized) text reuses its
+    /// — through the plan cache.  A repeated text reuses its
     /// prepared query; a new text of a known query shape binds the shape's
     /// plan to its own literal values; only a new shape is planned.  All of
     /// it stands for as long as the catalog and the access schema do; data
@@ -538,9 +484,8 @@ impl BeasSystem {
     pub fn prepare_outcome(&self, sql: &str) -> Result<(Arc<PreparedQuery>, PlanCacheOutcome)> {
         let cache = &self.plan_cache;
         let epoch = self.schema_epoch();
-        let text = normalize_sql(sql);
         let mut stale = false;
-        if let Some(entry) = cache.texts.get(&text, epoch, &mut stale) {
+        if let Some(entry) = cache.texts.get(sql, epoch, &mut stale) {
             cache.count(PlanCacheOutcome::TextHit, false);
             return Ok((entry, PlanCacheOutcome::TextHit));
         }
@@ -551,7 +496,7 @@ impl BeasSystem {
             .map_or(PlanCacheOutcome::Miss, |(_, outcome)| *outcome);
         cache.count(outcome, stale);
         let (entry, outcome) = prepared?;
-        cache.texts.insert(text, Arc::clone(&entry));
+        cache.texts.insert(sql.to_string(), Arc::clone(&entry));
         Ok((entry, outcome))
     }
 
@@ -1136,46 +1081,11 @@ impl BeasSystem {
             ),
             beas_finalization,
             baseline: SystemMeasurement::new(
-                SystemMeasurement::baseline_label(self.fallback.profile()),
+                BASELINE_LABEL,
                 baseline.result.metrics.clone(),
                 baseline.result.rows.len() as u64,
             ),
             baseline_tree: baseline.tree,
-        })
-    }
-
-    /// Run `sql` through BEAS and through the baseline engine under every
-    /// optimizer profile, producing a Fig. 3-style performance analysis.
-    pub fn analyze(&self, sql: &str) -> Result<PerformanceAnalysis> {
-        self.analyze_against(sql, &OptimizerProfile::all())
-    }
-
-    /// Like [`BeasSystem::analyze`] but against a chosen set of baselines.
-    pub fn analyze_against(
-        &self,
-        sql: &str,
-        profiles: &[OptimizerProfile],
-    ) -> Result<PerformanceAnalysis> {
-        let outcome = self.execute_sql(sql)?;
-        let beas =
-            SystemMeasurement::new("BEAS", outcome.metrics.clone(), outcome.rows.len() as u64);
-        let mut baselines = Vec::new();
-        for profile in profiles {
-            let engine = Engine::new(*profile);
-            let result = engine.run(&self.db, sql)?;
-            baselines.push(SystemMeasurement::new(
-                SystemMeasurement::baseline_label(*profile),
-                result.metrics,
-                result.rows.len() as u64,
-            ));
-        }
-        Ok(PerformanceAnalysis {
-            sql: sql.to_string(),
-            bounded: outcome.bounded,
-            constraints_used: outcome.constraints_used,
-            deduced_bound: outcome.deduced_bound,
-            beas,
-            baselines,
         })
     }
 
@@ -1189,14 +1099,13 @@ impl BeasSystem {
     /// Plan-cache checks (the cache is shared across forks, so entries may
     /// belong to another fork's schema epoch):
     /// 1. each map respects the capacity bound,
-    /// 2. text keys are normalized SQL (normalization is idempotent),
-    /// 3. an entry caches a plan exactly when its coverage check passed,
-    /// 4. a text entry at this system's epoch — one a lookup here would
+    /// 2. an entry caches a plan exactly when its coverage check passed,
+    /// 3. a text entry at this system's epoch — one a lookup here would
     ///    serve, however it was made — equals, stage for stage, the text
     ///    prepared on its own with its literals in place: parse → bind →
     ///    graph → check → plan against this system's catalog and access
     ///    schema, however many data writes happened since it was cached,
-    /// 5. a shape entry at this system's epoch equals its key prepared
+    /// 4. a shape entry at this system's epoch equals its key prepared
     ///    again with the values it was first prepared with.
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn check_invariants(&self) -> Result<()> {
@@ -1224,9 +1133,6 @@ impl BeasSystem {
                 ));
             }
             for (key, entry) in entries {
-                if map == "text" && *key != normalize_sql(key) {
-                    return fail(format!("cache key {key:?} is not normalized"));
-                }
                 if entry.plan.is_some() != entry.coverage.covered {
                     return fail(format!(
                         "{map} entry {key:?} caches a plan but its coverage check disagrees"
@@ -1541,6 +1447,9 @@ mod tests {
         assert!(covered.access_reduction() > 1.0);
         let text = covered.render();
         assert!(text.contains("evaluation: bounded"));
+        // the speed-up over the engine (baseline time / BEAS time)
+        assert!(covered.speedup().is_finite() && covered.speedup() > 0.0);
+        assert!(text.contains(&format!("speed-up: {:.1}x", covered.speedup())));
         // every fetch step: keys looked up, tuples accessed beside its bound
         assert!(text.contains("Fetch(business(type,region->pnum)) keys 1/1, "));
         assert!(text.contains(" of ≤ 2000 tuples"), "{text}");
@@ -1565,22 +1474,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_produces_fig3_style_report() {
-        let beas = system();
-        let analysis = beas.analyze(COVERED).unwrap();
-        assert!(analysis.bounded);
-        assert_eq!(analysis.baselines.len(), 3);
-        let text = analysis.render();
-        assert!(text.contains("BEAS"));
-        assert!(text.contains("PostgreSQL"));
-        assert!(text.contains("tuples accessed"));
-        // BEAS touches strictly less data than every conventional profile
-        for b in &analysis.baselines {
-            assert!(analysis.beas.tuples_accessed < b.tuples_accessed);
-        }
-    }
-
-    #[test]
     fn discovery_constructor_works_end_to_end() {
         let base = system();
         let db = base.database().clone();
@@ -1598,37 +1491,6 @@ mod tests {
         let beas = system();
         assert!(beas.execute_sql("not sql").is_err());
         assert!(beas.check("select x from nosuch").is_err());
-    }
-
-    #[test]
-    fn normalize_sql_collapses_case_and_whitespace_outside_literals() {
-        assert_eq!(
-            normalize_sql("SELECT  x\n FROM   t WHERE r = 'East  WING'"),
-            "select x from t where r = 'East  WING'"
-        );
-        assert_eq!(normalize_sql("  select 1  "), "select 1");
-        // literal case is preserved, so these are distinct keys
-        assert_ne!(
-            normalize_sql("select * from t where r = 'east'"),
-            normalize_sql("select * from t where r = 'EAST'")
-        );
-        // differently formatted versions of one query share a key
-        assert_eq!(
-            normalize_sql("Select Region\tFrom call"),
-            normalize_sql("select region from call")
-        );
-        // line comments are stripped — an apostrophe inside one must not
-        // flip literal tracking and make different literals collide
-        assert_eq!(
-            normalize_sql("select x from t -- note\nwhere r = 'East'"),
-            "select x from t where r = 'East'"
-        );
-        assert_ne!(
-            normalize_sql("select x from t -- it's a probe\nwhere r = 'East'"),
-            normalize_sql("select x from t -- it's a probe\nwhere r = 'east'")
-        );
-        // a comment at the very end (no trailing newline) is dropped too
-        assert_eq!(normalize_sql("select 1 -- tail"), "select 1");
     }
 
     #[test]
@@ -1653,10 +1515,6 @@ mod tests {
             assert_eq!(stats.hits, 1);
             assert_eq!(stats.invalidations, 0);
         }
-        // optimizer-profile changes preserve the execution profile
-        let beas = system().with_exec_fallback(ExecProfile::RowAtATime);
-        let beas = beas.with_fallback_profile(OptimizerProfile::MySqlLike);
-        assert_eq!(beas.exec_fallback(), ExecProfile::RowAtATime);
     }
 
     #[test]
@@ -1667,22 +1525,39 @@ mod tests {
         let stats = beas.plan_cache_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 0);
-        // repeated + reformatted submissions hit the cache
+        // a repeated text hits the cache by text
         let again = beas.execute_sql(COVERED).unwrap();
-        let reformatted = COVERED
-            .to_uppercase()
-            .replace("'BANK'", "'bank'")
-            .replace("'R0'", "'r0'");
-        let third = beas.execute_sql(&reformatted).unwrap();
         assert_eq!(first.rows, again.rows);
-        assert_eq!(first.rows, third.rows);
+        // a re-cased, re-spaced and commented text is a new text of the
+        // same shape: a shape hit the first time, a text hit the second
+        let reformatted = format!(
+            "-- the same query\n{}",
+            COVERED
+                .to_uppercase()
+                .replace("'BANK'", "'bank'")
+                .replace("'R0'", "'r0'")
+                .replace(' ', "  ")
+        );
+        let (shape_hit, outcome) = beas.prepare_outcome(&reformatted).unwrap();
+        assert_eq!(outcome, PlanCacheOutcome::ShapeHit);
+        let (text_hit, outcome) = beas.prepare_outcome(&reformatted).unwrap();
+        assert_eq!(outcome, PlanCacheOutcome::TextHit);
+        assert_eq!(
+            beas.execute_prepared(&shape_hit, None).unwrap().rows,
+            first.rows
+        );
+        assert_eq!(
+            beas.execute_prepared(&text_hit, None).unwrap().rows,
+            first.rows
+        );
         let stats = beas.plan_cache_stats();
         assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 2);
+        assert_eq!(stats.hits, 3);
+        assert_eq!(stats.shape_hits, 1);
         assert!(stats.hit_rate() > 0.6);
         // check() shares the same cache
         assert!(beas.check(COVERED).unwrap().covered);
-        assert_eq!(beas.plan_cache_stats().hits, 3);
+        assert_eq!(beas.plan_cache_stats().hits, 4);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! surfaces as an error rather than a silently wrong tree.
 
 use crate::metrics::{format_duration, ExecutionMetrics, OperatorMetrics};
-use crate::plan::LogicalPlan;
+use crate::plan::{join_name, LogicalPlan};
 use beas_common::{BeasError, Result};
 
 /// One node of the analyzed plan: the logical operator's rich label (as
@@ -98,7 +98,7 @@ fn plan_kind(plan: &LogicalPlan) -> &'static str {
         LogicalPlan::Scan { .. } => "SeqScan",
         LogicalPlan::Context { .. } => "Context",
         LogicalPlan::Filter { .. } => "Filter",
-        LogicalPlan::Join { algorithm, .. } => algorithm.name(),
+        LogicalPlan::Join { keys, .. } => join_name(keys),
         LogicalPlan::Aggregate { .. } => "HashAggregate",
         LogicalPlan::Project { .. } => "Project",
         LogicalPlan::Distinct { .. } => "Distinct",

@@ -15,11 +15,10 @@
 //!   examined per output pull, nothing is buffered (`Distinct` keeps only
 //!   the `seen` hash of emitted rows).
 //! * **Join** streams its *left* (probe) input and materializes only the
-//!   right (build) side: hash join builds its table on first pull, nested-
-//!   loop join buffers the right rows.  Output order is left-major for both
-//!   algorithms, so they agree on order by construction.  Keys go through
-//!   [`beas_common::key`], so the algorithms agree on numeric/date coercion
-//!   too.
+//!   right (build) side: a hash join (every join with equality keys) builds
+//!   its table on first pull, a cross product (a join without keys) buffers
+//!   the right rows.  Output order is left-major for both.  Keys go through
+//!   [`beas_common::key`], so numeric/date coercion is the canonical one.
 //! * **Sort** and **Aggregate** are pipeline breakers: they drain their
 //!   input on first pull, then stream the result.  Sort under a limit hint
 //!   collapses into a bounded top-k heap.
@@ -51,7 +50,7 @@
 //! query boundary.
 
 use crate::metrics::ExecutionMetrics;
-use crate::plan::{JoinAlgorithm, LogicalPlan};
+use crate::plan::{join_name, LogicalPlan};
 use crate::profile::ExecProfile;
 use crate::vectorized::{build_join_table, kernels_cover, probe_join_table, run_morsel_vectorized};
 use beas_common::{join_key, BeasError, QuotaTracker, Result, Row, RowRef, RowStream, Value};
@@ -297,20 +296,20 @@ fn build_operator<'a>(
             })
         }
         LogicalPlan::Join {
-            left,
-            right,
-            keys,
-            algorithm,
-            ..
+            left, right, keys, ..
         } => {
             // The probe (left) side streams on demand, so it inherits the
             // consumer's laziness; the build (right) side is always drained
             // in full, so it may run columnar even under a downstream LIMIT.
             let left = build_operator(left, None, ctx, context)?;
             let right = build_operator(right, None, ctx.drained(), context)?;
-            let label = format!("{}(keys={})", algorithm.name(), keys.len());
-            match algorithm {
-                JoinAlgorithm::Hash if !keys.is_empty() => Box::new(
+            let label = format!("{}(keys={})", join_name(keys), keys.len());
+            if keys.is_empty() {
+                Box::new(
+                    CrossProductOp::new(left, right, label).with_timer(OpTimer::new(ctx.timing)),
+                )
+            } else {
+                Box::new(
                     HashJoinOp::new(
                         left,
                         right,
@@ -320,17 +319,7 @@ fn build_operator<'a>(
                         ctx.exec.vectorized(),
                     )
                     .with_timer(OpTimer::new(ctx.timing)),
-                ),
-                _ => Box::new(
-                    NestedLoopJoinOp::new(
-                        left,
-                        right,
-                        keys.iter().map(|(l, _)| *l).collect(),
-                        keys.iter().map(|(_, r)| *r).collect(),
-                        label,
-                    )
-                    .with_timer(OpTimer::new(ctx.timing)),
-                ),
+                )
             }
         }
         LogicalPlan::Aggregate {
@@ -926,8 +915,7 @@ impl<'a> Operator<'a> for LimitOp<'a> {
 /// strictly reduces peak memory versus the batch model, which buffered
 /// BOTH sides before choosing a build side.  Total key-hashing work is the
 /// same either way (every row of both sides is hashed exactly once), and
-/// pinning the probe side also pins the output order, which nested-loop
-/// join matches.
+/// pinning the probe side also pins the output order.
 struct HashJoinOp<'a> {
     probe: BoxedOperator<'a>,
     build: BoxedOperator<'a>,
@@ -1061,48 +1049,34 @@ impl<'a> Operator<'a> for HashJoinOp<'a> {
     }
 }
 
-/// Nested-loop join (also handles cross products): buffers the right side
-/// on first pull, streams the left.  Keys go through the same canonical
-/// form as [`HashJoinOp`], so the two algorithms return identical answers —
-/// and, both being left-major, in identical order.
-struct NestedLoopJoinOp<'a> {
+/// Cross product (a join without equality keys, labelled
+/// `NestedLoopJoin`): buffers the right side on first pull, streams the
+/// left, so its output is left-major like [`HashJoinOp`]'s.
+struct CrossProductOp<'a> {
     left: BoxedOperator<'a>,
     right: BoxedOperator<'a>,
     built: bool,
-    left_keys: Vec<usize>,
-    right_keys: Vec<usize>,
     right_rows: Vec<RowRef<'a>>,
-    /// Canonical key per right row (`None` = unjoinable), computed once.
-    right_row_keys: Vec<Option<Vec<Value>>>,
-    /// Current left row, its canonical key, and the next right position.
-    pending: Option<(RowRef<'a>, Option<Vec<Value>>, usize)>,
+    /// Current left row and the next right position.
+    pending: Option<(RowRef<'a>, usize)>,
     label: String,
     rows_out: u64,
     build_elapsed: Duration,
     timer: OpTimer,
 }
 
-impl<'a> NestedLoopJoinOp<'a> {
+impl<'a> CrossProductOp<'a> {
     fn with_timer(mut self, timer: OpTimer) -> Self {
         self.timer = timer;
         self
     }
 
-    fn new(
-        left: BoxedOperator<'a>,
-        right: BoxedOperator<'a>,
-        left_keys: Vec<usize>,
-        right_keys: Vec<usize>,
-        label: String,
-    ) -> Self {
-        NestedLoopJoinOp {
+    fn new(left: BoxedOperator<'a>, right: BoxedOperator<'a>, label: String) -> Self {
+        CrossProductOp {
             left,
             right,
             built: false,
-            left_keys,
-            right_keys,
             right_rows: Vec::new(),
-            right_row_keys: Vec::new(),
             pending: None,
             label,
             rows_out: 0,
@@ -1116,56 +1090,31 @@ impl<'a> NestedLoopJoinOp<'a> {
             self.built = true;
             let start = clock::now();
             while let Some(row) = self.right.next()? {
-                self.right_row_keys.push(join_key(&row, &self.right_keys));
                 self.right_rows.push(row);
             }
             self.build_elapsed = start.elapsed();
         }
         loop {
-            if let Some((left_row, left_key, pos)) = &mut self.pending {
-                if self.left_keys.is_empty() {
-                    // cross product
-                    if *pos < self.right_rows.len() {
-                        let out = left_row.concat(&self.right_rows[*pos]);
-                        *pos += 1;
-                        self.rows_out += 1;
-                        return Ok(Some(out));
-                    }
-                } else if let Some(lk) = left_key {
-                    while *pos < self.right_rows.len() {
-                        let i = *pos;
-                        *pos += 1;
-                        if self.right_row_keys[i].as_ref() == Some(lk) {
-                            self.rows_out += 1;
-                            return Ok(Some(left_row.concat(&self.right_rows[i])));
-                        }
-                    }
+            if let Some((left_row, pos)) = &mut self.pending {
+                if *pos < self.right_rows.len() {
+                    let out = left_row.concat(&self.right_rows[*pos]);
+                    *pos += 1;
+                    self.rows_out += 1;
+                    return Ok(Some(out));
                 }
                 self.pending = None;
             }
             match self.left.next()? {
-                Some(left_row) => {
-                    let key = if self.left_keys.is_empty() {
-                        None
-                    } else {
-                        let k = join_key(&left_row, &self.left_keys);
-                        if k.is_none() {
-                            // unjoinable key: no matches, skip the row
-                            continue;
-                        }
-                        k
-                    };
-                    self.pending = Some((left_row, key, 0));
-                }
+                Some(left_row) => self.pending = Some((left_row, 0)),
                 None => return Ok(None),
             }
         }
     }
 }
 
-timed_next!(NestedLoopJoinOp);
+timed_next!(CrossProductOp);
 
-impl<'a> Operator<'a> for NestedLoopJoinOp<'a> {
+impl<'a> Operator<'a> for CrossProductOp<'a> {
     fn record(&mut self, metrics: &mut ExecutionMetrics) {
         self.left.record(metrics);
         self.right.record(metrics);
@@ -1539,20 +1488,44 @@ mod tests {
         rows
     }
 
-    fn nested_loop_join<'a>(
+    fn cross_product<'a>(
         left: &[RowRef<'a>],
         right: &[RowRef<'a>],
-        keys: &[(usize, usize)],
         limit: Option<usize>,
     ) -> Vec<RowRef<'a>> {
-        let op = NestedLoopJoinOp::new(
+        let op = CrossProductOp::new(
             StaticOp::boxed(left.to_vec()),
             StaticOp::boxed(right.to_vec()),
-            keys.iter().map(|(l, _)| *l).collect(),
-            keys.iter().map(|(_, r)| *r).collect(),
             "NestedLoopJoin".into(),
         );
         drain(op, limit)
+    }
+
+    /// The equi-join by definition: every (left, right) pair, left-major,
+    /// whose canonical keys exist and are equal.
+    fn reference_join(
+        left: &[RowRef<'_>],
+        right: &[RowRef<'_>],
+        keys: &[(usize, usize)],
+    ) -> Vec<Row> {
+        let left_keys: Vec<usize> = keys.iter().map(|(l, _)| *l).collect();
+        let right_keys: Vec<usize> = keys.iter().map(|(_, r)| *r).collect();
+        let mut out = Vec::new();
+        for l in left {
+            let Some(lk) = join_key(l, &left_keys) else {
+                continue;
+            };
+            for r in right {
+                if join_key(r, &right_keys).as_ref() == Some(&lk) {
+                    out.push(l.concat(r).to_row());
+                }
+            }
+        }
+        out
+    }
+
+    fn to_rows(rows: &[RowRef<'_>]) -> Vec<Row> {
+        rows.iter().map(|r| r.to_row()).collect()
     }
 
     #[test]
@@ -1584,7 +1557,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_matches_hash_join() {
+    fn hash_join_matches_reference_and_cross_product_pairs_all() {
         let left = vec![
             vec![Value::Int(1)],
             vec![Value::Int(2)],
@@ -1592,19 +1565,21 @@ mod tests {
         ];
         let right = vec![vec![Value::Int(2)], vec![Value::Int(3)]];
         let h = hash_join(&refs(&left), &refs(&right), &[(0, 0)], None);
-        let n = nested_loop_join(&refs(&left), &refs(&right), &[(0, 0)], None);
         assert_eq!(h.len(), 2);
-        assert_eq!(n.len(), 2);
-        let cross = nested_loop_join(&refs(&left), &refs(&right), &[], None);
+        assert_eq!(
+            to_rows(&h),
+            reference_join(&refs(&left), &refs(&right), &[(0, 0)])
+        );
+        let cross = cross_product(&refs(&left), &refs(&right), None);
         assert_eq!(cross.len(), 6);
-        let cross_cut = nested_loop_join(&refs(&left), &refs(&right), &[], Some(4));
+        let cross_cut = cross_product(&refs(&left), &refs(&right), Some(4));
         assert_eq!(cross_cut.len(), 4);
     }
 
     #[test]
-    fn join_output_order_is_left_major_for_both_algorithms() {
-        // Both algorithms stream the left side and buffer the right, so the
-        // output order is identical by construction — not just the multiset.
+    fn hash_join_output_order_is_left_major() {
+        // The hash join streams the left side and buffers the right, so its
+        // output order is the reference's — not just the multiset.
         let left = vec![
             vec![Value::Int(2), Value::str("l2")],
             vec![Value::Int(1), Value::str("l1")],
@@ -1615,25 +1590,18 @@ mod tests {
             vec![Value::Int(2), Value::str("r2")],
             vec![Value::Int(2), Value::str("r2b")],
         ];
-        let h: Vec<Row> = hash_join(&refs(&left), &refs(&right), &[(0, 0)], None)
-            .iter()
-            .map(|r| r.to_row())
-            .collect();
-        let n: Vec<Row> = nested_loop_join(&refs(&left), &refs(&right), &[(0, 0)], None)
-            .iter()
-            .map(|r| r.to_row())
-            .collect();
-        assert_eq!(h, n);
+        let h = to_rows(&hash_join(&refs(&left), &refs(&right), &[(0, 0)], None));
+        assert_eq!(h, reference_join(&refs(&left), &refs(&right), &[(0, 0)]));
         // left-major: all l2 outputs precede l1's
         assert_eq!(h[0][1], Value::str("l2"));
         assert_eq!(h[2][1], Value::str("l1"));
     }
 
     #[test]
-    fn join_algorithms_coerce_dates_and_numerics_identically() {
+    fn hash_join_coerces_dates_and_numerics() {
         // The historical divergence: '2016-07-04' (Str) vs DATE keys joined
-        // under nested-loop (sql_eq coerces) but not under hash join
-        // (structural map-key equality).  Both now use the canonical form.
+        // under SQL equality (sql_eq coerces) but not under hash join
+        // (structural map-key equality).  Keys now use the canonical form.
         let left = vec![
             vec![Value::str("2016-07-04")],
             vec![Value::Float(1.0)],
@@ -1645,16 +1613,13 @@ mod tests {
             vec![Value::Float(f64::NAN)],
         ];
         let h = hash_join(&refs(&left), &refs(&right), &[(0, 0)], None);
-        let n = nested_loop_join(&refs(&left), &refs(&right), &[(0, 0)], None);
         // str-date joins date, float 1.0 joins int 1, NaN joins nothing
         assert_eq!(h.len(), 2);
-        assert_eq!(n.len(), 2);
-        let sorted = |rows: &[RowRef<'_>]| {
-            let mut v: Vec<Row> = rows.iter().map(|r| r.to_row()).collect();
-            v.sort_by(|a, b| a[0].total_cmp(&b[0]));
-            v
-        };
-        assert_eq!(sorted(&h), sorted(&n));
+        assert_eq!(
+            h[0].get(1),
+            Some(&Value::Date(Date::new(2016, 7, 4).unwrap()))
+        );
+        assert_eq!(h[1].get(1), Some(&Value::Int(1)));
     }
 
     /// Deterministic mixed-type join input for the equivalence proptest.
@@ -1679,21 +1644,20 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
 
-        /// Hash join ≡ nested-loop join on mixed Int/Float/Date (and
-        /// date-string, NULL) keys — the two pipelined algorithms must
-        /// return the same rows *in the same order* for every input.
+        /// Hash join ≡ the reference join on mixed Int/Float/Date (and
+        /// date-string, NULL) keys: the same rows *in the same order* for
+        /// every input.
         #[test]
-        fn hash_equals_nested_loop_on_mixed_keys(seed in 0u64..1_000_000, ln in 0usize..24, rn in 0usize..24) {
+        fn hash_join_equals_reference_on_mixed_keys(seed in 0u64..1_000_000, ln in 0usize..24, rn in 0usize..24) {
             let mut rng = Prng::new(seed);
             let left = mixed_key_rows(&mut rng, ln);
             let right = mixed_key_rows(&mut rng, rn);
-            let h = hash_join(&refs(&left), &refs(&right), &[(0, 0)], None);
-            let n = nested_loop_join(&refs(&left), &refs(&right), &[(0, 0)], None);
+            let h = to_rows(&hash_join(&refs(&left), &refs(&right), &[(0, 0)], None));
+            let n = reference_join(&refs(&left), &refs(&right), &[(0, 0)]);
             prop_assert_eq!(h.len(), n.len());
             for (a, b) in h.iter().zip(n.iter()) {
                 // compare through total_cmp: rows may carry NaN, which is
                 // never == itself under Value's PartialEq
-                let (a, b) = (a.to_row(), b.to_row());
                 prop_assert!(a.iter().zip(b.iter()).all(|(x, y)| x.total_cmp(y) == Ordering::Equal));
             }
         }

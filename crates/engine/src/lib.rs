@@ -7,8 +7,9 @@
 //!
 //! It plays two roles in the reproduction:
 //!
-//! 1. **Baseline** — the stand-in for PostgreSQL / MySQL / MariaDB in the
-//!    paper's evaluation, selectable via [`OptimizerProfile`];
+//! 1. **Baseline** — the one conventional engine BEAS is compared with (the
+//!    paper's evaluation uses PostgreSQL, MySQL and MariaDB) and the engine
+//!    BEAS falls back to for queries it cannot bound;
 //! 2. **Substrate** — BEAS executes the unbounded residue of *partially
 //!    bounded* plans on this engine, exactly as the paper layers BEAS on a
 //!    conventional DBMS.
@@ -28,6 +29,6 @@ pub use executor::{aggregate, execute, ExecOptions, Input, ParallelConfig};
 pub use metrics::{
     format_duration, ExecutionMetrics, OperatorMetrics, PlanCacheOutcome, PlanCacheStats,
 };
-pub use plan::{JoinAlgorithm, LogicalPlan};
+pub use plan::LogicalPlan;
 pub use planner::{conjoin_bound, finalize_plan, remap_expr, split_bound_conjuncts, Planner};
-pub use profile::{ExecProfile, OptimizerProfile};
+pub use profile::ExecProfile;

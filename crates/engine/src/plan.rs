@@ -4,23 +4,13 @@ use beas_common::{Schema, Value};
 use beas_sql::{BoundAggregate, BoundExpr};
 use std::fmt;
 
-/// Which physical join algorithm the executor should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinAlgorithm {
-    /// Build a hash table on the right input, probe with the left.
-    Hash,
-    /// Plain nested loops (used by the `maria-like` profile and for joins
-    /// without equality keys).
-    NestedLoop,
-}
-
-impl JoinAlgorithm {
-    /// Display name used in plans and metrics.
-    pub fn name(&self) -> &'static str {
-        match self {
-            JoinAlgorithm::Hash => "HashJoin",
-            JoinAlgorithm::NestedLoop => "NestedLoopJoin",
-        }
+/// The operator a join with these equality keys runs as: a hash join, or
+/// a cross product (labelled `NestedLoopJoin`) when it has no keys.
+pub(crate) fn join_name(keys: &[(usize, usize)]) -> &'static str {
+    if keys.is_empty() {
+        "NestedLoopJoin"
+    } else {
+        "HashJoin"
     }
 }
 
@@ -51,7 +41,8 @@ pub enum LogicalPlan {
         /// Predicate bound to the input schema.
         predicate: BoundExpr,
     },
-    /// Join two inputs on zero or more equality keys.
+    /// Join two inputs on zero or more equality keys: a hash join when
+    /// there are keys, a cross product when there are none.
     Join {
         /// Left input.
         left: Box<LogicalPlan>,
@@ -60,8 +51,6 @@ pub enum LogicalPlan {
         /// Equality keys as (left column index, right column index).
         /// Empty keys means a cross product.
         keys: Vec<(usize, usize)>,
-        /// Join algorithm chosen by the optimizer profile.
-        algorithm: JoinAlgorithm,
         /// Output schema (left fields followed by right fields).
         schema: Schema,
     },
@@ -138,13 +127,11 @@ impl LogicalPlan {
                 left,
                 right,
                 keys,
-                algorithm,
                 schema,
             } => LogicalPlan::Join {
                 left: child(left),
                 right: child(right),
                 keys: keys.clone(),
-                algorithm: *algorithm,
                 schema: schema.clone(),
             },
             LogicalPlan::Aggregate {
@@ -220,11 +207,7 @@ impl LogicalPlan {
                 input.explain_into(out, indent + 1);
             }
             LogicalPlan::Join {
-                left,
-                right,
-                keys,
-                algorithm,
-                ..
+                left, right, keys, ..
             } => {
                 let keys_s: Vec<String> = keys
                     .iter()
@@ -232,7 +215,7 @@ impl LogicalPlan {
                     .collect();
                 out.push_str(&format!(
                     "{pad}{}({})\n",
-                    algorithm.name(),
+                    join_name(keys),
                     if keys_s.is_empty() {
                         "cross".to_string()
                     } else {
@@ -318,7 +301,6 @@ mod tests {
             left: Box::new(left),
             right: Box::new(right),
             keys: vec![(0, 0)],
-            algorithm: JoinAlgorithm::Hash,
             schema: joined_schema.clone(),
         };
         assert_eq!(join.schema().len(), 4);
@@ -352,8 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn join_algorithm_names() {
-        assert_eq!(JoinAlgorithm::Hash.name(), "HashJoin");
-        assert_eq!(JoinAlgorithm::NestedLoop.name(), "NestedLoopJoin");
+    fn join_names_follow_the_keys() {
+        assert_eq!(join_name(&[(0, 0)]), "HashJoin");
+        assert_eq!(join_name(&[]), "NestedLoopJoin");
     }
 }

@@ -1,14 +1,13 @@
-//! The baseline query planner: turns a [`BoundQuery`] into a [`LogicalPlan`]
-//! according to an [`OptimizerProfile`].
+//! The baseline query planner: turns a [`BoundQuery`] into a [`LogicalPlan`].
 //!
 //! The planner performs the textbook rewrites a conventional DBMS applies —
-//! predicate pushdown, equi-join extraction and greedy join ordering by
+//! predicate pushdown, equi-join extraction (a hash join per equi-join, a
+//! cross product for a join without keys) and greedy join ordering by
 //! estimated cardinality — but it remains *unbounded*: every plan ultimately
 //! scans base tables in full, so its cost grows with `|D|`.  The contrast
 //! with BEAS's bounded plans is the point of the paper's evaluation.
 
-use crate::plan::{JoinAlgorithm, LogicalPlan};
-use crate::profile::OptimizerProfile;
+use crate::plan::LogicalPlan;
 use beas_common::{BeasError, Result, Schema};
 use beas_sql::ast::BinaryOperator;
 use beas_sql::{BoundExpr, BoundQuery};
@@ -18,7 +17,6 @@ use std::collections::{HashMap, HashSet};
 /// The baseline planner.
 pub struct Planner<'a> {
     db: &'a Database,
-    profile: OptimizerProfile,
 }
 
 /// A WHERE-clause conjunct annotated with the tables it touches.
@@ -33,9 +31,9 @@ struct Conjunct {
 }
 
 impl<'a> Planner<'a> {
-    /// Create a planner for a database and profile.
-    pub fn new(db: &'a Database, profile: OptimizerProfile) -> Self {
-        Planner { db, profile }
+    /// Create a planner for a database.
+    pub fn new(db: &'a Database) -> Self {
+        Planner { db }
     }
 
     /// Plan a bound query.
@@ -108,9 +106,6 @@ impl<'a> Planner<'a> {
             .map(|tb| tb.row_count() as f64)
             .unwrap_or(1000.0);
         let mut rows = base.max(1.0);
-        if !self.profile.pushdown() {
-            return rows;
-        }
         for c in conjuncts {
             if c.tables.len() == 1 && c.tables.contains(&table_idx) {
                 // crude selectivity model: equality ~ 1/distinct, everything else 1/3
@@ -149,9 +144,6 @@ impl<'a> Planner<'a> {
         let n = query.tables.len();
         if n == 0 {
             return Err(BeasError::plan("query references no tables"));
-        }
-        if !self.profile.stats_join_order() {
-            return Ok((0..n).collect());
         }
         // Greedy: start from the smallest estimated table, then repeatedly add
         // the connected table with the smallest estimate (falling back to the
@@ -206,20 +198,18 @@ impl<'a> Planner<'a> {
             alias: t.alias.clone(),
             schema: schema.clone(),
         };
-        if self.profile.pushdown() {
-            let mut preds = Vec::new();
-            for (i, c) in conjuncts.iter().enumerate() {
-                if !consumed[i] && c.tables.len() == 1 && c.tables.contains(&table_idx) {
-                    preds.push(remap_expr(&c.expr, &query.input_schema, &schema)?);
-                    consumed[i] = true;
-                }
+        let mut preds = Vec::new();
+        for (i, c) in conjuncts.iter().enumerate() {
+            if !consumed[i] && c.tables.len() == 1 && c.tables.contains(&table_idx) {
+                preds.push(remap_expr(&c.expr, &query.input_schema, &schema)?);
+                consumed[i] = true;
             }
-            if let Some(pred) = conjoin_bound(preds) {
-                plan = LogicalPlan::Filter {
-                    input: Box::new(plan),
-                    predicate: pred,
-                };
-            }
+        }
+        if let Some(pred) = conjoin_bound(preds) {
+            plan = LogicalPlan::Filter {
+                input: Box::new(plan),
+                predicate: pred,
+            };
         }
         Ok(plan)
     }
@@ -260,17 +250,11 @@ impl<'a> Planner<'a> {
                     consumed[i] = true;
                 }
             }
-            let algorithm = if keys.is_empty() || !self.profile.hash_joins() {
-                JoinAlgorithm::NestedLoop
-            } else {
-                JoinAlgorithm::Hash
-            };
             let schema = left_schema.join(&right_schema);
             plan = LogicalPlan::Join {
                 left: Box::new(plan),
                 right: Box::new(right),
                 keys,
-                algorithm,
                 schema,
             };
             joined_tables.push(next);
@@ -285,15 +269,11 @@ impl<'a> Planner<'a> {
         plan: LogicalPlan,
     ) -> Result<LogicalPlan> {
         // Everything not consumed by pushdown or join keys is applied here.
-        // Which conjuncts remain depends on the profile; recompute by
-        // re-deriving the consumed set is awkward, so instead: re-split the
-        // original filter and subtract what the join tree already enforced.
-        // Simpler and robust: re-apply *all* non-pushed, non-key conjuncts.
         let plan_schema = plan.schema();
         let mut residual = Vec::new();
         for c in conjuncts {
             let is_key = c.eq_edge.is_some() && c.tables.len() == 2;
-            let is_pushed = self.profile.pushdown() && c.tables.len() == 1;
+            let is_pushed = c.tables.len() == 1;
             if is_key || is_pushed {
                 continue;
             }
@@ -535,9 +515,7 @@ mod tests {
     fn plans_simple_scan_filter_project() {
         let db = test_db();
         let q = bind(&db, "SELECT region FROM call WHERE pnum = 'p1'");
-        let plan = Planner::new(&db, OptimizerProfile::PgLike)
-            .plan(&q)
-            .unwrap();
+        let plan = Planner::new(&db).plan(&q).unwrap();
         let s = plan.explain();
         assert!(s.contains("Project"));
         assert!(s.contains("Filter"));
@@ -546,55 +524,19 @@ mod tests {
     }
 
     #[test]
-    fn pg_like_starts_from_smaller_filtered_table() {
+    fn starts_from_smaller_filtered_table() {
         let db = test_db();
         let q = bind(
             &db,
             "SELECT c.region FROM call c, business b WHERE b.pnum = c.pnum AND b.type = 'bank'",
         );
-        let plan = Planner::new(&db, OptimizerProfile::PgLike)
-            .plan(&q)
-            .unwrap();
+        let plan = Planner::new(&db).plan(&q).unwrap();
         let s = plan.explain();
-        // business (5 rows) should be the left/first input under pg-like
+        // business (5 rows) should be the left/first input
         let biz_pos = s.find("SeqScan(business").unwrap();
         let call_pos = s.find("SeqScan(call").unwrap();
         assert!(biz_pos < call_pos, "plan: {s}");
         assert!(s.contains("HashJoin"));
-    }
-
-    #[test]
-    fn mysql_like_uses_from_order() {
-        let db = test_db();
-        let q = bind(
-            &db,
-            "SELECT c.region FROM call c, business b WHERE b.pnum = c.pnum AND b.type = 'bank'",
-        );
-        let plan = Planner::new(&db, OptimizerProfile::MySqlLike)
-            .plan(&q)
-            .unwrap();
-        let s = plan.explain();
-        let biz_pos = s.find("SeqScan(business").unwrap();
-        let call_pos = s.find("SeqScan(call").unwrap();
-        assert!(call_pos < biz_pos, "plan: {s}");
-    }
-
-    #[test]
-    fn maria_like_has_no_pushdown_and_nested_loops() {
-        let db = test_db();
-        let q = bind(
-            &db,
-            "SELECT c.region FROM call c, business b WHERE b.pnum = c.pnum AND b.type = 'bank'",
-        );
-        let plan = Planner::new(&db, OptimizerProfile::MariaLike)
-            .plan(&q)
-            .unwrap();
-        let s = plan.explain();
-        assert!(s.contains("NestedLoopJoin"));
-        // the type = 'bank' filter must appear above the join, not under the scan
-        let filter_pos = s.find("Filter").unwrap();
-        let join_pos = s.find("NestedLoopJoin").unwrap();
-        assert!(filter_pos < join_pos, "plan: {s}");
     }
 
     #[test]
@@ -604,9 +546,7 @@ mod tests {
             &db,
             "SELECT region, COUNT(*) AS n FROM call GROUP BY region HAVING COUNT(*) > 1 ORDER BY n LIMIT 2",
         );
-        let plan = Planner::new(&db, OptimizerProfile::PgLike)
-            .plan(&q)
-            .unwrap();
+        let plan = Planner::new(&db).plan(&q).unwrap();
         let s = plan.explain();
         assert!(s.contains("HashAggregate"));
         assert!(s.contains("Limit(2)"));
@@ -621,23 +561,14 @@ mod tests {
     fn cross_join_when_no_keys() {
         let db = test_db();
         let q = bind(&db, "SELECT c.region FROM call c, business b");
-        let plan = Planner::new(&db, OptimizerProfile::PgLike)
-            .plan(&q)
-            .unwrap();
-        match find_join(&plan) {
-            Some((keys, alg)) => {
-                assert!(keys.is_empty());
-                assert_eq!(alg, JoinAlgorithm::NestedLoop);
-            }
-            None => panic!("expected a join"),
-        }
+        let plan = Planner::new(&db).plan(&q).unwrap();
+        assert_eq!(find_join(&plan), Some(vec![]), "expected a keyless join");
+        assert!(plan.explain().contains("NestedLoopJoin(cross)"));
     }
 
-    fn find_join(plan: &LogicalPlan) -> Option<(Vec<(usize, usize)>, JoinAlgorithm)> {
+    fn find_join(plan: &LogicalPlan) -> Option<Vec<(usize, usize)>> {
         match plan {
-            LogicalPlan::Join {
-                keys, algorithm, ..
-            } => Some((keys.clone(), *algorithm)),
+            LogicalPlan::Join { keys, .. } => Some(keys.clone()),
             LogicalPlan::Scan { .. } | LogicalPlan::Context { .. } => None,
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Distinct { input }

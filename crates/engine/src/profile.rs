@@ -1,81 +1,6 @@
-//! Optimizer profiles for the baseline engine.
-//!
-//! The paper's evaluation compares BEAS against three commercial systems
-//! (PostgreSQL, MySQL and MariaDB).  Those systems are not available here, so
-//! the baseline engine exposes three optimizer *profiles* that mimic the
-//! planner behaviours that matter for the comparison: all three are
-//! conventional (unbounded) evaluation, but they differ in join ordering,
-//! join algorithm and pushdown aggressiveness — producing the spread of
-//! baseline runtimes seen in Figs. 3 and 4.  See DESIGN.md §3 for the
-//! substitution rationale.
+//! Execution profiles for the baseline engine.
 
 use std::fmt;
-
-/// How the baseline engine plans queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OptimizerProfile {
-    /// Statistics-driven greedy join ordering, hash joins, predicate
-    /// pushdown.  Stands in for PostgreSQL.
-    PgLike,
-    /// Joins in the order tables appear in the FROM clause, hash joins,
-    /// predicate pushdown.  Stands in for MySQL.
-    MySqlLike,
-    /// Joins in FROM order with nested-loop joins and *no* predicate
-    /// pushdown (filters evaluated after the joins).  Stands in for MariaDB's
-    /// worst-case block nested-loop behaviour on un-indexed joins.
-    MariaLike,
-}
-
-impl OptimizerProfile {
-    /// All profiles, in the order the paper lists the systems.
-    pub fn all() -> [OptimizerProfile; 3] {
-        [
-            OptimizerProfile::PgLike,
-            OptimizerProfile::MySqlLike,
-            OptimizerProfile::MariaLike,
-        ]
-    }
-
-    /// Whether single-table predicates are pushed below joins.
-    pub fn pushdown(&self) -> bool {
-        !matches!(self, OptimizerProfile::MariaLike)
-    }
-
-    /// Whether join order is chosen by estimated cardinality (otherwise the
-    /// FROM-clause order is kept).
-    pub fn stats_join_order(&self) -> bool {
-        matches!(self, OptimizerProfile::PgLike)
-    }
-
-    /// Whether equi-joins use a hash join (otherwise nested loops).
-    pub fn hash_joins(&self) -> bool {
-        !matches!(self, OptimizerProfile::MariaLike)
-    }
-
-    /// Short display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            OptimizerProfile::PgLike => "pg-like",
-            OptimizerProfile::MySqlLike => "mysql-like",
-            OptimizerProfile::MariaLike => "maria-like",
-        }
-    }
-
-    /// The commercial system this profile stands in for (for reports).
-    pub fn stands_in_for(&self) -> &'static str {
-        match self {
-            OptimizerProfile::PgLike => "PostgreSQL",
-            OptimizerProfile::MySqlLike => "MySQL",
-            OptimizerProfile::MariaLike => "MariaDB",
-        }
-    }
-}
-
-impl fmt::Display for OptimizerProfile {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// How the baseline engine *executes* plans, orthogonal to how it plans
 /// them: row-at-a-time pull (the semantics reference) or the columnar
@@ -142,24 +67,6 @@ impl fmt::Display for ExecProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn profile_flags() {
-        assert!(OptimizerProfile::PgLike.pushdown());
-        assert!(OptimizerProfile::PgLike.stats_join_order());
-        assert!(OptimizerProfile::PgLike.hash_joins());
-        assert!(OptimizerProfile::MySqlLike.pushdown());
-        assert!(!OptimizerProfile::MySqlLike.stats_join_order());
-        assert!(!OptimizerProfile::MariaLike.pushdown());
-        assert!(!OptimizerProfile::MariaLike.hash_joins());
-    }
-
-    #[test]
-    fn names_and_all() {
-        assert_eq!(OptimizerProfile::all().len(), 3);
-        assert_eq!(OptimizerProfile::PgLike.to_string(), "pg-like");
-        assert_eq!(OptimizerProfile::MariaLike.stands_in_for(), "MariaDB");
-    }
 
     #[test]
     fn exec_profile_flags() {

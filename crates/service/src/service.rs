@@ -303,9 +303,8 @@ pub struct SessionOutcome {
 
 impl QueryService {
     /// Wrap a configured system (knobs like
-    /// [`BeasSystem::with_exec_fallback`] or
-    /// [`BeasSystem::with_fallback_profile`] are applied before
-    /// construction) into a service.
+    /// [`BeasSystem::with_exec_fallback`] are applied before construction)
+    /// into a service.
     pub fn new(system: BeasSystem) -> Self {
         let metrics = ServiceMetrics::default();
         let retired = Retired::default();

@@ -695,7 +695,7 @@ mod tests {
 
     #[test]
     fn shape_key_collapses_case_whitespace_and_comments_outside_literals() {
-        // what `normalize_sql` promises of the text key holds of the shape
+        // a re-cased, re-spaced or commented text is one shape
         assert_eq!(
             lift_literals("SELECT  x\n FROM   t WHERE r = 'East  WING'").unwrap(),
             (

@@ -6,8 +6,6 @@
 //! * [`Table`] — a validated, schema-checked row store;
 //! * [`Database`] — a named collection of tables implementing the SQL
 //!   binder's `SchemaProvider`;
-//! * [`HashIndex`] — an equality index on arbitrary key columns, used by the
-//!   baseline engine's index-nested-loop joins;
 //! * [`ConstraintIndex`] — the paper's *modified hash index* backing an
 //!   access constraint `R(X → Y, N)`: each `X`-key maps to the set of at most
 //!   `N` distinct `Y` partial tuples;
@@ -19,13 +17,11 @@
 pub mod constraint_index;
 pub mod copy_stats;
 pub mod database;
-pub mod index;
 pub mod stats;
 pub mod table;
 
 pub use constraint_index::{ConstraintIndex, IndexDump};
 pub use copy_stats::CopyStats;
 pub use database::Database;
-pub use index::HashIndex;
 pub use stats::{ColumnStatistics, TableStatistics};
 pub use table::{CoercedBatch, Table, MORSEL_ROWS, SEGMENT_ROWS};

@@ -73,8 +73,8 @@ impl CoercedBatch {
 /// table.
 ///
 /// Rows stay addressable by a stable physical id (their global position), so
-/// row-id consumers (`HashIndex`, `project_row`, executors) are unaffected
-/// by the segmentation.
+/// row-id consumers (`project_row`, executors) are unaffected by the
+/// segmentation.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,

@@ -2,7 +2,7 @@
 //!
 //! Walks the whole TLC workload (Q1–Q11) through BEAS: coverage check,
 //! bounded or partially bounded execution, and a Fig. 3-style performance
-//! analysis against the three baseline optimizer profiles.
+//! analysis of Q1 against the conventional engine, timed per operator.
 //!
 //! ```bash
 //! cargo run --release --example cdr_analysis
@@ -51,7 +51,7 @@ fn main() -> Result<()> {
     let (btype, region, pid, date) = beas::tlc::default_params();
     let q1 = beas::tlc::example2_query(btype, region, pid, date);
     println!("\n================ performance analysis of Q1 (Example 2) ================\n");
-    let analysis = system.analyze(&q1)?;
+    let analysis = system.explain_analyze(&q1)?;
     println!("{analysis}");
 
     // Resource-bounded approximation when only a tiny budget is affordable.

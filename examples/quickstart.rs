@@ -53,10 +53,10 @@ fn main() -> Result<()> {
         outcome.bounded,
         outcome.tuples_accessed
     );
-    let engine = Engine::new(OptimizerProfile::PgLike);
+    let engine = Engine::default();
     let baseline = engine.run(system.database(), &q1)?;
     println!(
-        "baseline (pg-like): {} answers, tuples accessed = {}",
+        "conventional engine: {} answers, tuples accessed = {}",
         baseline.rows.len(),
         baseline.metrics.total_tuples_accessed()
     );

@@ -1,8 +1,8 @@
 //! Scale independence (Fig. 4, from the public API).
 //!
 //! Runs Q1 (Example 2) at growing scale factors through BEAS and through the
-//! pg-like baseline profile: BEAS's cost stays flat while the conventional
-//! engine grows with `|D|`.
+//! conventional engine: BEAS's cost stays flat while the engine's grows with
+//! `|D|`.
 //!
 //! ```bash
 //! cargo run --release --example scale_independence
@@ -29,7 +29,7 @@ fn main() -> Result<()> {
         let outcome = system.execute_sql(&q1)?;
         let beas_time = t.elapsed();
 
-        let engine = Engine::new(OptimizerProfile::PgLike);
+        let engine = Engine::default();
         let t = Instant::now();
         let baseline = engine.run(&baseline_db, &q1)?;
         let dbms_time = t.elapsed();

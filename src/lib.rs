@@ -74,8 +74,7 @@ pub mod prelude {
         BeasSystem, BoundedPlan, CheckReport, CoverageResult, EvaluationMode, ExecutionOutcome,
     };
     pub use beas_engine::{
-        Engine, EngineAnalysis, ExecProfile, ExecutionMetrics, LogicalPlan, OptimizerProfile,
-        QueryResult,
+        Engine, EngineAnalysis, ExecProfile, ExecutionMetrics, LogicalPlan, QueryResult,
     };
     pub use beas_obs::{set_trace_level, trace_level, TraceLevel};
     pub use beas_service::{Decision, QueryService, Session, SessionOutcome, SubmissionTrace};

@@ -35,7 +35,7 @@ fn tlc_system(scale: u32) -> BeasSystem {
 #[test]
 fn all_eleven_tlc_queries_run_and_match_the_baseline() {
     let system = tlc_system(2);
-    let engine = Engine::new(OptimizerProfile::PgLike);
+    let engine = Engine::default();
     for q in beas::tlc::all_queries() {
         let report = system.check(&q.sql).unwrap();
         assert_eq!(

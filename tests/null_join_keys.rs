@@ -90,10 +90,13 @@ const QUERY: &str = "select distinct call.recnum from call, business \
 #[test]
 fn baseline_profiles_agree_null_keys_never_join() {
     let db = null_heavy_db();
-    // hash join (pg-like) and nested-loop (maria-like) must agree
+    // the hash join's columnar kernels and its row path must agree
     let mut answers = Vec::new();
-    for profile in OptimizerProfile::all() {
-        let result = Engine::new(profile).run(&db, QUERY).unwrap();
+    for exec in ExecProfile::all() {
+        let result = Engine::default()
+            .with_exec_profile(exec)
+            .run(&db, QUERY)
+            .unwrap();
         answers.push(sorted(result.rows));
     }
     for a in &answers[1..] {

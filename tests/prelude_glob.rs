@@ -30,7 +30,7 @@ fn prelude_glob_reaches_both_layers_unambiguously() {
     assert!(outcome.bounded);
 
     // Conventional layer, by bare prelude names, over the same database.
-    let engine = Engine::new(OptimizerProfile::PgLike);
+    let engine = Engine::default();
     let result: QueryResult = engine.run(system.database(), &q1).unwrap();
     let _metrics: &ExecutionMetrics = &result.metrics;
     assert!(!engine.explain(system.database(), &q1).unwrap().is_empty());
@@ -50,8 +50,7 @@ fn aliased_module_families_are_distinct() {
         _: Option<beas::bounded_plan::BoundedPlan>,
         _: Option<beas::bounded_plan::PlannedFetch>,
         _: Option<beas::engine_plan::LogicalPlan>,
-        _: Option<beas::engine_plan::JoinAlgorithm>,
     ) {
     }
-    assert_types_exist(None, None, None, None);
+    assert_types_exist(None, None, None);
 }
