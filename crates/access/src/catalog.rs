@@ -2,17 +2,16 @@
 //! their indices and their metadata for different applications.
 //!
 //! The paper's catalog has three modules — Metadata, Discovery and
-//! Maintenance.  [`AsCatalog`] ties Metadata and Maintenance together:
-//! applications register a (database, access schema) pair; registration
-//! validates conformance, builds the constraint indices and records metadata
+//! Maintenance.  [`AsCatalog`] is the Metadata module: applications register
+//! a (database, access schema) pair; registration builds the constraint
+//! indices, which refuses data that does not conform, and records metadata
 //! (constraint count, index sizes, statistics) that the BE Query Planner
 //! consults.  Discovery reads queries through the BE Checker's query graph,
 //! so it lives in `beas-core` (`beas_core::discovery`); register what it
-//! finds with [`AsCatalog::register`].
+//! finds with [`AsCatalog::register`].  Maintenance is `BeasSystem`'s: it
+//! owns the rows, the schema and the indices it keeps in step.
 
-use crate::conformance::require_conformance;
 use crate::indexes::{build_indexes, AccessIndexes};
-use crate::maintenance::{Maintainer, MaintenancePolicy};
 use crate::schema::AccessSchema;
 use beas_common::{BeasError, Result};
 use beas_storage::Database;
@@ -71,8 +70,8 @@ impl AsCatalog {
         AsCatalog::default()
     }
 
-    /// Register an access schema for an application, validating conformance
-    /// and building its indices.
+    /// Register an access schema for an application, building its indices;
+    /// fails, naming each violated constraint, when `db` does not conform.
     pub fn register(
         &mut self,
         application: &str,
@@ -84,7 +83,6 @@ impl AsCatalog {
                 "cannot register an empty access schema",
             ));
         }
-        require_conformance(db, &schema)?;
         let indexes = build_indexes(db, &schema)?;
         let metadata = Self::metadata_for(application, &schema, &indexes);
         let name = application.to_string();
@@ -112,11 +110,6 @@ impl AsCatalog {
     /// Registered application names.
     pub fn applications(&self) -> Vec<String> {
         self.applications.keys().cloned().collect()
-    }
-
-    /// A maintainer bound to an application's policy choice.
-    pub fn maintainer(&self, policy: MaintenancePolicy) -> Maintainer {
-        Maintainer::new(policy)
     }
 
     /// Render the whole catalog's metadata (the paper's "system table as
@@ -211,8 +204,6 @@ mod tests {
         assert!(catalog.unregister("tlc"));
         assert!(!catalog.unregister("tlc"));
         assert!(catalog.get("tlc").is_none());
-        let m = catalog.maintainer(MaintenancePolicy::Strict);
-        assert_eq!(m.policy(), MaintenancePolicy::Strict);
     }
 
     #[test]
@@ -226,7 +217,11 @@ mod tests {
             2,
         )
         .unwrap()]);
-        assert!(catalog.register("tlc", &db, too_tight).is_err());
+        // 30 businesses in one region against a bound of 2
+        let err = catalog.register("tlc", &db, too_tight).unwrap_err();
+        assert_eq!(err.kind(), "conformance");
+        assert!(err.to_string().contains("(observed 30)"), "{err}");
+        assert!(catalog.get("tlc").is_none());
         assert!(catalog.register("tlc", &db, AccessSchema::new()).is_err());
     }
 }

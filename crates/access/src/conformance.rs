@@ -8,7 +8,7 @@
 
 use crate::constraint::AccessConstraint;
 use crate::schema::AccessSchema;
-use beas_common::{BeasError, Result};
+use beas_common::Result;
 use beas_storage::{Database, TableStatistics};
 use std::fmt;
 
@@ -73,29 +73,19 @@ pub fn check_constraint(
     })
 }
 
-/// Check conformance of a whole access schema (`D |= A`).
+/// Check conformance of a whole access schema (`D |= A`) by scanning every
+/// constrained table.
+///
+/// This serves callers that hold no indices.  A system that holds them
+/// never rescans: [`crate::build_indexes`] refuses `D ⊭ A` from the maxima
+/// its indices keep, and maintenance keeps those maxima per batch.  The one
+/// caller outside tests is the closed-loop benchmark's set-up, where the
+/// scan is cheaper than building the indices twice; remove this scan when
+/// that set-up stops calling it (ROADMAP item 2(e)).
 pub fn check_conformance(db: &Database, schema: &AccessSchema) -> Result<ConformanceReport> {
     let mut report = ConformanceReport::default();
     for c in schema.constraints() {
         report.entries.push(check_constraint(db, c)?);
-    }
-    Ok(report)
-}
-
-/// Like [`check_conformance`] but returns an error if any constraint is
-/// violated — used when registering an access schema with the catalog.
-pub fn require_conformance(db: &Database, schema: &AccessSchema) -> Result<ConformanceReport> {
-    let report = check_conformance(db, schema)?;
-    if !report.conforms() {
-        let details: Vec<String> = report
-            .violations()
-            .iter()
-            .map(|v| format!("{} (observed {})", v.constraint, v.observed_max))
-            .collect();
-        return Err(BeasError::conformance(format!(
-            "database does not conform to access schema: {}",
-            details.join("; ")
-        )));
     }
     Ok(report)
 }
@@ -154,7 +144,6 @@ mod tests {
         let report = check_conformance(&db, &schema).unwrap();
         assert!(!report.conforms());
         assert_eq!(report.violations().len(), 1);
-        assert!(require_conformance(&db, &schema).is_err());
         assert!(report.to_string().contains("VIOLATED"));
     }
 
@@ -165,7 +154,7 @@ mod tests {
             AccessConstraint::new("call", &["pnum", "date"], &["recnum"], 500).unwrap(),
             AccessConstraint::new("call", &["pnum"], &["date"], 10).unwrap(),
         ]);
-        let report = require_conformance(&db, &schema).unwrap();
+        let report = check_conformance(&db, &schema).unwrap();
         assert!(report.conforms());
         assert_eq!(report.entries.len(), 2);
         assert!(report.to_string().contains("OK"));
@@ -174,7 +163,8 @@ mod tests {
     #[test]
     fn violation_report_names_the_offending_constraint() {
         // Two constraints over the same table, only one of them violated: the
-        // report and the `require_conformance` error must single it out.
+        // report, and the error with which index construction refuses the
+        // data, must single it out.
         let db = db();
         let violated = AccessConstraint::new("call", &["pnum", "date"], &["recnum"], 2).unwrap();
         let satisfied = AccessConstraint::new("call", &["pnum"], &["date"], 10).unwrap();
@@ -187,7 +177,8 @@ mod tests {
         assert_eq!(violations[0].constraint.id(), violated.id());
         assert_eq!(violations[0].observed_max, 3);
 
-        let err = require_conformance(&db, &schema).unwrap_err();
+        let err = crate::indexes::build_indexes(&db, &schema).unwrap_err();
+        assert_eq!(err.kind(), "conformance");
         let msg = err.to_string();
         assert!(
             msg.contains(&violated.to_string()),
@@ -198,44 +189,6 @@ mod tests {
             !msg.contains(&satisfied.to_string()),
             "error must not implicate the satisfied constraint, got: {msg}"
         );
-    }
-
-    #[test]
-    fn insert_past_bound_is_flagged_with_the_constraint() {
-        // Maintenance counterpart: an insert pushing a group past `N` under
-        // the Flag policy records (constraint id, observed cardinality), and
-        // re-validation then reports the same constraint as violated.
-        use crate::indexes::build_indexes;
-        use crate::maintenance::{Maintainer, MaintenancePolicy};
-
-        let mut db = db();
-        let constraint = AccessConstraint::new("call", &["pnum", "date"], &["recnum"], 3).unwrap();
-        let mut schema = AccessSchema::from_constraints(vec![constraint.clone()]);
-        let mut indexes = build_indexes(&db, &schema).unwrap();
-        assert!(require_conformance(&db, &schema).is_ok());
-
-        // p1 already has 3 distinct recnums on 2016-07-04; a 4th breaks N=3.
-        let m = Maintainer::new(MaintenancePolicy::Flag);
-        let out = m
-            .insert_rows(
-                &mut db,
-                &mut schema,
-                &mut indexes,
-                "call",
-                vec![vec![
-                    Value::str("p1"),
-                    Value::str("d"),
-                    Value::str("2016-07-04"),
-                ]],
-            )
-            .unwrap();
-        assert_eq!(out.rows_affected, 1);
-        assert_eq!(out.flagged, vec![(constraint.id(), 4)]);
-
-        let report = check_conformance(&db, &schema).unwrap();
-        assert!(!report.conforms());
-        assert_eq!(report.violations()[0].constraint.id(), constraint.id());
-        assert!(require_conformance(&db, &schema).is_err());
     }
 
     #[test]

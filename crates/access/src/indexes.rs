@@ -51,16 +51,6 @@ impl AccessIndexes {
         Ok(idx.fetch(key))
     }
 
-    /// Insert or replace the index for one constraint.
-    pub fn insert(&mut self, constraint: &AccessConstraint, index: ConstraintIndex) {
-        self.indexes.insert(constraint.id(), index);
-    }
-
-    /// Remove the index for a constraint id.
-    pub fn remove(&mut self, id: &str) -> bool {
-        self.indexes.remove(id).is_some()
-    }
-
     /// Total estimated size of all indices in bytes.
     pub fn estimated_bytes(&self) -> usize {
         self.indexes.values().map(|i| i.estimated_bytes()).sum()
@@ -78,21 +68,32 @@ impl AccessIndexes {
     }
 }
 
-/// Build the index for one constraint over the current database contents.
-pub fn build_index(db: &Database, constraint: &AccessConstraint) -> Result<ConstraintIndex> {
-    let table = db.table(&constraint.table)?;
-    constraint.validate_against(table.schema())?;
-    ConstraintIndex::build(table, &constraint.x, &constraint.y)
-}
-
-/// Build indices for every constraint of an access schema.
+/// Build indices for every constraint of an access schema, refusing data
+/// that does not conform to it (`D ⊭ A`).
 ///
 /// This is the offline step the AS catalog performs when an access schema is
-/// registered for an application.
+/// registered for an application, and the one `BeasSystem` performs when it
+/// is assembled.  Each index keeps its largest bucket as it is built, so
+/// conformance is read from the indices, one comparison per constraint; the
+/// error names every violated constraint with its observed maximum.
 pub fn build_indexes(db: &Database, schema: &AccessSchema) -> Result<AccessIndexes> {
     let mut out = AccessIndexes::new();
+    let mut violations = Vec::new();
     for c in schema.constraints() {
-        out.insert(c, build_index(db, c)?);
+        let table = db.table(&c.table)?;
+        c.validate_against(table.schema())?;
+        let index = ConstraintIndex::build(table, &c.x, &c.y)?;
+        let observed = index.observed_max_cardinality();
+        if observed as u64 > c.n {
+            violations.push(format!("{c} (observed {observed})"));
+        }
+        out.indexes.insert(c.id(), index);
+    }
+    if !violations.is_empty() {
+        return Err(BeasError::conformance(format!(
+            "database does not conform to access schema: {}",
+            violations.join("; ")
+        )));
     }
     Ok(out)
 }
@@ -178,15 +179,5 @@ mod tests {
         assert!(idx
             .fetch(&psi3(), &[Value::str("bank"), Value::str("east")])
             .is_err());
-    }
-
-    #[test]
-    fn remove_index() {
-        let db = db();
-        let schema = AccessSchema::from_constraints(vec![psi3()]);
-        let mut idx = build_indexes(&db, &schema).unwrap();
-        assert!(idx.remove(&psi3().id()));
-        assert!(!idx.remove(&psi3().id()));
-        assert!(idx.is_empty());
     }
 }

@@ -7,11 +7,11 @@
 //!
 //! * [`AccessConstraint`] / [`AccessSchema`] — `R(X → Y, N)` constraints and
 //!   sets thereof, with a textual exchange format;
-//! * [`conformance`] — checking `D |= A`;
+//! * [`conformance`] — checking `D |= A` by scanning the data;
 //! * [`indexes`] — building the *modified hash indices* that back each
-//!   constraint, and fetching partial tuples through them;
-//! * [`maintenance`] — incremental index maintenance and bound adjustment
-//!   under inserts/deletes (the Maintenance module);
+//!   constraint, refusing `D ⊭ A`, and fetching partial tuples through them;
+//! * [`maintenance`] — the policy and outcome of a write; the writes
+//!   themselves are `BeasSystem`'s, which owns data, schema and indices;
 //! * [`catalog`] — the AS Catalog tying schema, indices and metadata together
 //!   per application.
 //!
@@ -28,10 +28,9 @@ pub mod schema;
 
 pub use catalog::{AsCatalog, RegisteredSchema, SchemaMetadata};
 pub use conformance::{
-    check_conformance, check_constraint, require_conformance, ConformanceReport,
-    ConstraintConformance,
+    check_conformance, check_constraint, ConformanceReport, ConstraintConformance,
 };
 pub use constraint::AccessConstraint;
-pub use indexes::{build_index, build_indexes, AccessIndexes};
-pub use maintenance::{Maintainer, MaintenanceOutcome, MaintenancePolicy};
+pub use indexes::{build_indexes, AccessIndexes};
+pub use maintenance::{MaintenanceOutcome, MaintenancePolicy};
 pub use schema::AccessSchema;

@@ -1,18 +1,21 @@
 //! Resource-bounded approximation.
 //!
 //! When a user can only afford a data-access budget smaller than a bounded
-//! plan's deduced bound (or the query is not boundedly evaluable at all),
-//! BEAS "offers resource bounded approximation ... which guarantees a
-//! deterministic accuracy lower bound on approximate answers computed, and
-//! accesses a bounded number of tuples in the entire process" (§3).  The
-//! details are deferred to a later publication; the scheme implemented here
-//! is the natural instantiation over bounded plans:
+//! plan's deduced bound, BEAS "offers resource bounded approximation ...
+//! which guarantees a deterministic accuracy lower bound on approximate
+//! answers computed, and accesses a bounded number of tuples in the entire
+//! process" (§3).  The details are deferred to a later publication; the
+//! scheme implemented here is the natural instantiation over bounded plans:
 //!
+//! * only a covered query (one with a deduced bound) is approximated; any
+//!   other is refused with `not_bounded`, since running its covered atoms
+//!   alone would drop the others' predicates and return non-answers;
 //! * execute the bounded plan, but cap the number of distinct keys each fetch
 //!   step may look up so that the *worst-case* data access stays within the
 //!   budget;
 //! * every answer produced is a genuine answer (soundness — answers come from
-//!   real fetched tuples);
+//!   real fetched tuples) — not yet for aggregates or ORDER BY under a
+//!   LIMIT, whose value on a subset is not an exact answer's (ROADMAP 16(a));
 //! * the reported `coverage` is the product of the per-step fractions of keys
 //!   processed, a deterministic lower bound on the fraction of the exact
 //!   answer set that was explored.

@@ -12,16 +12,17 @@
 //!    every atom, attributes bound to constants (or joined to another atom)
 //!    form candidate key sets `X`, and the attributes of that atom the query
 //!    needs, minus `X`, form the fetch set `Y`.
-//! 2. **Profiling** against the data: the observed maximum group cardinality
-//!    gives the tightest `N`, and building the index gives its storage cost.
+//! 2. **Profiling** against the data: each candidate's index is built once,
+//!    and it gives both the observed maximum bucket — the tightest `N` —
+//!    and the storage cost.
 //! 3. **Greedy selection** under the storage budget, ranking candidates by
 //!    (queries helped) / (index bytes).
 
 use crate::graph::{Atom, QueryGraph, Term};
-use beas_access::{build_index, AccessConstraint, AccessSchema};
+use beas_access::{AccessConstraint, AccessSchema};
 use beas_common::{BeasError, Result};
 use beas_sql::{parse_select, Binder, SelectStatement};
-use beas_storage::{Database, TableStatistics};
+use beas_storage::{ConstraintIndex, Database};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the discovery run.
@@ -112,7 +113,8 @@ pub fn discover_from_statements(
     let mut candidates = Vec::new();
     for (_, (table, x, y, helped)) in raw {
         let Ok(tbl) = db.table(&table) else { continue };
-        let observed = TableStatistics::max_group_cardinality(tbl, &x, &y)?;
+        let index = ConstraintIndex::build(tbl, &x, &y)?;
+        let observed = index.observed_max_cardinality();
         if observed == 0 {
             continue; // empty table: nothing to learn
         }
@@ -120,12 +122,10 @@ pub fn discover_from_statements(
             continue; // not a useful cardinality constraint
         }
         let n = ((observed as f64 * config.headroom).ceil() as u64).max(observed as u64);
-        let constraint = AccessConstraint::new(&table, &x, &y, n)?;
-        let index_bytes = build_index(db, &constraint)?.estimated_bytes();
         candidates.push(Candidate {
-            constraint,
+            constraint: AccessConstraint::new(&table, &x, &y, n)?,
             observed_max: observed,
-            index_bytes,
+            index_bytes: index.estimated_bytes(),
             queries_helped: helped,
         });
     }
@@ -219,6 +219,7 @@ mod tests {
     use beas_access::AsCatalog;
     use beas_common::{ColumnDef, DataType, TableSchema, Value};
     use beas_sql::SchemaProvider;
+    use beas_storage::TableStatistics;
 
     fn db() -> Database {
         let mut db = Database::new();

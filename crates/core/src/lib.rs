@@ -25,7 +25,8 @@
 //!   the same binder and [`graph`] the checker uses;
 //! * [`analyzer`] — the Fig. 3-style BEAS-versus-engine report;
 //! * [`system`] — [`BeasSystem`], the facade tying it all together on top of
-//!   the storage layer and the conventional engine.
+//!   the storage layer and the conventional engine; its writes are the
+//!   AS catalog's **Maintenance** module (`maintenance.rs`).
 
 pub mod analyzer;
 pub mod approx;
@@ -34,6 +35,7 @@ pub mod discovery;
 pub mod executor;
 mod fetch;
 pub mod graph;
+mod maintenance;
 pub mod partial;
 pub mod plan;
 pub mod planner;

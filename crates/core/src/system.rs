@@ -21,9 +21,7 @@ use crate::partial::{
 };
 use crate::plan::BoundedPlan;
 use crate::planner::generate_bounded_plan;
-use beas_access::{
-    build_indexes, AccessIndexes, AccessSchema, Maintainer, MaintenanceOutcome, MaintenancePolicy,
-};
+use beas_access::{build_indexes, AccessIndexes, AccessSchema, MaintenancePolicy};
 use beas_common::{BeasError, QuotaTracker, Result, Row, Schema, Value};
 use beas_engine::{
     analyze_tree, Engine, ExecOptions, ExecProfile, ExecutionMetrics, ParallelConfig,
@@ -83,21 +81,8 @@ pub struct CheckReport {
     pub coverage: CoverageResult,
 }
 
-/// What a [`PreparedQuery`] is a function of: the catalog (which tables
-/// exist, with which columns) and the access schema (constraints and their
-/// bounds).  Rows are not part of it.  Both halves are lineage-unique
-/// stamps, so within the forks of one system equal epochs mean the same
-/// catalog and the same access schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SchemaEpoch {
-    /// [`Database::catalog_epoch`]: moved by create/drop table.
-    catalog: u64,
-    /// Moved by every change to a constraint or a bound.
-    access: u64,
-}
-
 /// A fully prepared query — the output of parse → bind → graph → check →
-/// plan, stamped with the schema epoch it was computed under.  Cached
+/// plan, stamped with the access-schema epoch it was computed under.  Cached
 /// entries are shared (`Arc`), so a cache hit costs one hash lookup and no
 /// cloning.
 ///
@@ -113,7 +98,9 @@ struct SchemaEpoch {
 /// the statement prepared on its own.
 #[derive(Debug, PartialEq)]
 pub struct PreparedQuery {
-    epoch: SchemaEpoch,
+    /// The access-schema epoch: within the forks of one system, equal
+    /// epochs mean the same constraints and bounds.
+    epoch: u64,
     /// The literal values lifted out of the statement, in slot order.
     params: Vec<Value>,
     query: BoundQuery,
@@ -205,11 +192,12 @@ impl PreparedQuery {
 /// attribute no constraint fetches never being checked (such a query is
 /// not covered).
 ///
-/// A prepared query depends on the catalog and the access schema only, so
-/// an entry of either map is valid for as long as the [`SchemaEpoch`] it
-/// was prepared under stands: data writes invalidate nothing (execution
-/// reads the rows and indices of the snapshot it runs on, never the cache),
-/// while DDL and constraint or bound changes invalidate every entry.
+/// A prepared query depends on the catalog and the access schema only, and
+/// no table is created or dropped under a system, so an entry of either
+/// map is valid for as long as the access-schema epoch it was prepared
+/// under stands: data writes invalidate nothing (execution reads the rows
+/// and indices of the snapshot it runs on, never the cache), while a
+/// constraint or bound change invalidates every entry.
 #[derive(Debug, Default)]
 struct PlanCache {
     texts: CacheMap,
@@ -236,7 +224,7 @@ const PLAN_CACHE_CAP: usize = 256;
 impl CacheMap {
     /// The entry for `key` if it was prepared under `epoch`.  An entry from
     /// another epoch is evicted and reported through `stale`.
-    fn get(&self, key: &str, epoch: SchemaEpoch, stale: &mut bool) -> Option<Arc<PreparedQuery>> {
+    fn get(&self, key: &str, epoch: u64, stale: &mut bool) -> Option<Arc<PreparedQuery>> {
         let mut entries = self.0.lock().expect("plan cache lock");
         match entries.get(key) {
             Some(entry) if entry.epoch == epoch => Some(Arc::clone(entry)),
@@ -323,29 +311,30 @@ impl PlanCache {
 /// `approximate`, the plan cache) works through `&self` with interior
 /// mutability limited to atomics and short-lived mutexes, so an
 /// `Arc<BeasSystem>` can serve concurrent reader threads — the property the
-/// `beas_service` snapshot model builds on.  Maintenance writes still take
-/// `&mut self` and therefore serialize by construction.
+/// `beas_service` snapshot model builds on.  It is the only owner of its
+/// rows, access schema and indices; its maintenance writes take `&mut self`
+/// and so serialize by construction.
 #[derive(Debug)]
 pub struct BeasSystem {
-    db: Database,
-    schema: AccessSchema,
-    indexes: AccessIndexes,
+    pub(crate) db: Database,
+    pub(crate) schema: AccessSchema,
+    pub(crate) indexes: AccessIndexes,
     fallback: Engine,
     /// Shared across [`BeasSystem::fork`]ed copies: forks of one lineage
-    /// serve one logical cache (entries are validated against the schema
-    /// epoch they were prepared under, so a fork whose access schema or
-    /// catalog diverged never serves another's plan) and its counters
+    /// serve one logical cache (entries are validated against the access
+    /// epoch they were prepared under, so a fork whose access schema
+    /// diverged never serves another's plan) and its counters
     /// aggregate across all of them.
     plan_cache: Arc<PlanCache>,
     /// Stamp of this system's access schema, drawn from the shared cache's
     /// allocator whenever a constraint or a bound changes.
     access_epoch: u64,
-    maintenance_policy: MaintenancePolicy,
+    pub(crate) maintenance_policy: MaintenancePolicy,
 }
 
 impl BeasSystem {
-    /// Assemble a system from a database, an access schema and pre-built
-    /// indices (see [`beas_access::build_indexes`]).
+    /// Assemble a system from a database, an access schema and the indices
+    /// [`beas_access::build_indexes`] built for them.
     pub fn new(db: Database, schema: AccessSchema, indexes: AccessIndexes) -> Self {
         BeasSystem {
             db,
@@ -375,9 +364,9 @@ impl BeasSystem {
     ///
     /// Sharing the cache across forks is sound even if several forks are
     /// mutated independently: a cached entry answers only a system at the
-    /// schema epoch it was prepared under, and both halves of the epoch are
-    /// drawn from lineage-shared allocators, so two forks can never reach
-    /// the same epoch with different catalogs or access schemas.
+    /// access-schema epoch it was prepared under, and epochs are drawn from
+    /// a lineage-shared allocator, so two forks can never reach the same
+    /// epoch with different access schemas.
     pub fn fork(&self) -> BeasSystem {
         BeasSystem {
             db: self.db.clone(),
@@ -390,7 +379,8 @@ impl BeasSystem {
         }
     }
 
-    /// Assemble a system, building the constraint indices in the process.
+    /// Assemble a system, building the constraint indices in the process;
+    /// [`build_indexes`] refuses `db` if it does not conform to `schema`.
     pub fn with_schema(db: Database, schema: AccessSchema) -> Result<Self> {
         let indexes = build_indexes(&db, &schema)?;
         Ok(BeasSystem::new(db, schema, indexes))
@@ -458,8 +448,8 @@ impl BeasSystem {
     /// — through the plan cache.  A repeated text reuses its
     /// prepared query; a new text of a known query shape binds the shape's
     /// plan to its own literal values; only a new shape is planned.  All of
-    /// it stands for as long as the catalog and the access schema do; data
-    /// writes re-prepare nothing.
+    /// it stands for as long as the access schema does; data writes
+    /// re-prepare nothing.
     ///
     /// Public so a service can acquire the prepared query *once* per
     /// submission and thread the same `Arc` through admission
@@ -483,7 +473,7 @@ impl BeasSystem {
     /// counters against concurrent sessions.
     pub fn prepare_outcome(&self, sql: &str) -> Result<(Arc<PreparedQuery>, PlanCacheOutcome)> {
         let cache = &self.plan_cache;
-        let epoch = self.schema_epoch();
+        let epoch = self.access_epoch;
         let mut stale = false;
         if let Some(entry) = cache.texts.get(sql, epoch, &mut stale) {
             cache.count(PlanCacheOutcome::TextHit, false);
@@ -505,7 +495,7 @@ impl BeasSystem {
     fn prepare_by_shape(
         &self,
         sql: &str,
-        epoch: SchemaEpoch,
+        epoch: u64,
         stale: &mut bool,
     ) -> Result<(Arc<PreparedQuery>, PlanCacheOutcome)> {
         let shapes = &self.plan_cache.shapes;
@@ -539,7 +529,7 @@ impl BeasSystem {
             None
         };
         Ok(PreparedQuery {
-            epoch: self.schema_epoch(),
+            epoch: self.access_epoch,
             params,
             query,
             graph,
@@ -548,17 +538,9 @@ impl BeasSystem {
         })
     }
 
-    /// The epoch a query prepared by this system is stamped with.
-    fn schema_epoch(&self) -> SchemaEpoch {
-        SchemaEpoch {
-            catalog: self.db.catalog_epoch(),
-            access: self.access_epoch,
-        }
-    }
-
     /// Move to a fresh access-schema epoch: every plan prepared so far
     /// stops answering this system (and its future forks).
-    fn bump_access_epoch(&mut self) {
+    pub(crate) fn bump_access_epoch(&mut self) {
         self.access_epoch = self
             .plan_cache
             .access_epochs
@@ -573,7 +555,7 @@ impl BeasSystem {
 
     /// Drop every cached plan, of texts and of shapes, for callers that want
     /// the next submission of each shape to pay for preparation again.  Never needed for
-    /// correctness: schema changes move the epoch, data writes leave plans
+    /// correctness: bound changes move the epoch, data writes leave plans
     /// valid.
     pub fn clear_plan_cache(&self) {
         self.plan_cache.clear();
@@ -864,144 +846,12 @@ impl BeasSystem {
         }
     }
 
-    /// Choose the policy applied when maintenance writes would violate a
-    /// cardinality bound (default: [`MaintenancePolicy::Strict`]).
-    pub fn with_maintenance_policy(mut self, policy: MaintenancePolicy) -> Self {
-        self.maintenance_policy = policy;
-        self
-    }
-
-    /// Insert rows through the maintenance module: the base table and every
-    /// affected constraint index are updated together.  The write bumps the
-    /// database generation; cached plans stay valid (they depend on the
-    /// schema, not on rows) unless the batch made
-    /// [`MaintenancePolicy::AutoAdjust`] raise a bound.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use beas_access::{AccessConstraint, AccessSchema};
-    /// use beas_common::{ColumnDef, DataType, TableSchema, Value};
-    /// use beas_core::BeasSystem;
-    /// use beas_storage::Database;
-    ///
-    /// let mut db = Database::new();
-    /// db.create_table(TableSchema::new(
-    ///     "call",
-    ///     vec![
-    ///         ColumnDef::new("pnum", DataType::Str),
-    ///         ColumnDef::new("recnum", DataType::Str),
-    ///     ],
-    /// )?)?;
-    /// let schema = AccessSchema::from_constraints(vec![AccessConstraint::new(
-    ///     "call", &["pnum"], &["recnum"], 100,
-    /// )?]);
-    /// let mut system = BeasSystem::with_schema(db, schema)?;
-    ///
-    /// // The write maintains the constraint index, so the next query sees
-    /// // the new row through a bounded fetch.
-    /// system.insert_rows("call", vec![vec![Value::str("p2"), Value::str("r9")]])?;
-    /// let outcome = system.execute_sql("SELECT recnum FROM call WHERE pnum = 'p2'")?;
-    /// assert_eq!(outcome.rows, vec![vec![Value::str("r9")]]);
-    /// # Ok::<(), beas_common::BeasError>(())
-    /// ```
-    pub fn insert_rows(&mut self, table: &str, rows: Vec<Row>) -> Result<MaintenanceOutcome> {
-        let maintainer = Maintainer::new(self.maintenance_policy);
-        let outcome = maintainer.insert_rows(
-            &mut self.db,
-            &mut self.schema,
-            &mut self.indexes,
-            table,
-            rows,
-        )?;
-        // AutoAdjust may have raised constraint bounds, which changes
-        // deduced plan bounds.
-        if !outcome.adjusted.is_empty() {
-            self.bump_access_epoch();
-        }
-        Ok(outcome)
-    }
-
-    /// Delete the rows of `table` matching `predicate`, keeping every
-    /// affected constraint index consistent.  Bumps the database
-    /// generation; cached plans stay valid.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use beas_access::{AccessConstraint, AccessSchema};
-    /// use beas_common::{ColumnDef, DataType, TableSchema, Value};
-    /// use beas_core::BeasSystem;
-    /// use beas_storage::Database;
-    ///
-    /// let mut db = Database::new();
-    /// db.create_table(TableSchema::new(
-    ///     "call",
-    ///     vec![
-    ///         ColumnDef::new("pnum", DataType::Str),
-    ///         ColumnDef::new("recnum", DataType::Str),
-    ///     ],
-    /// )?)?;
-    /// db.insert("call", vec![Value::str("p1"), Value::str("r1")])?;
-    /// db.insert("call", vec![Value::str("p1"), Value::str("r2")])?;
-    /// let schema = AccessSchema::from_constraints(vec![AccessConstraint::new(
-    ///     "call", &["pnum"], &["recnum"], 100,
-    /// )?]);
-    /// let mut system = BeasSystem::with_schema(db, schema)?;
-    ///
-    /// let outcome = system.delete_rows("call", |row| row[1] == Value::str("r1"))?;
-    /// assert_eq!(outcome.rows_affected, 1);
-    /// let remaining = system.execute_sql("SELECT recnum FROM call WHERE pnum = 'p1'")?;
-    /// assert_eq!(remaining.rows, vec![vec![Value::str("r2")]]);
-    /// # Ok::<(), beas_common::BeasError>(())
-    /// ```
-    pub fn delete_rows(
-        &mut self,
-        table: &str,
-        predicate: impl FnMut(&Row) -> bool,
-    ) -> Result<MaintenanceOutcome> {
-        let maintainer = Maintainer::new(self.maintenance_policy);
-        maintainer.delete_rows(
-            &mut self.db,
-            &self.schema,
-            &mut self.indexes,
-            table,
-            predicate,
-        )
-    }
-
-    /// Tighten (or relax) every constraint bound to the observed
-    /// cardinality times `headroom`.  Changes deduced plan bounds, so the
-    /// access-schema epoch moves and every cached plan is invalidated.
-    pub fn adjust_bounds(&mut self, headroom: f64) -> Result<Vec<(String, u64, u64)>> {
-        let maintainer = Maintainer::new(self.maintenance_policy);
-        let changes = maintainer.adjust_bounds(&self.db, &mut self.schema, headroom)?;
-        if !changes.is_empty() {
-            self.bump_access_epoch();
-        }
-        Ok(changes)
-    }
-
-    /// Mutable access to the underlying database for bulk loads and DDL.
-    /// Any mutation bumps the write generation, and create/drop table also
-    /// moves the catalog epoch (invalidating cached plans), but all of it
-    /// bypasses index maintenance — call [`BeasSystem::rebuild_indexes`]
-    /// afterwards, or use [`BeasSystem::insert_rows`] /
-    /// [`BeasSystem::delete_rows`] for incrementally maintained writes.
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// Rebuild every constraint index from the current database contents.
-    pub fn rebuild_indexes(&mut self) -> Result<()> {
-        self.indexes = build_indexes(&self.db, &self.schema)?;
-        Ok(())
-    }
-
     /// Resource-bounded approximation: answer `sql` while fetching at most
     /// `budget` tuples, reporting a deterministic coverage lower bound.
-    /// The parse → bind → check → plan stage is served from the plan cache
-    /// (covered queries reuse the cached bounded plan outright).
+    /// Only a covered query — one with a deduced bound — is approximated;
+    /// any other is refused with [`BeasError::NotBounded`].  The parse →
+    /// bind → check → plan stage is served from the plan cache, and the
+    /// cached bounded plan is run under the budget.
     pub fn approximate(&self, sql: &str, budget: u64) -> Result<ApproximateExecution> {
         let prepared = self.prepare(sql)?;
         self.approximate_prepared(&prepared, budget)
@@ -1014,26 +864,12 @@ impl BeasSystem {
         prepared: &PreparedQuery,
         budget: u64,
     ) -> Result<ApproximateExecution> {
-        let query = &prepared.query;
-        let graph = &prepared.graph;
-        let coverage = &prepared.coverage;
-        if !coverage.covered && coverage.fetch_sequence.is_empty() {
+        let Some(plan) = &prepared.plan else {
             return Err(BeasError::not_bounded(
-                "no access constraint applies to this query; approximation is not possible"
-                    .to_string(),
+                "no deduced bound: cannot approximate",
             ));
-        }
-        // Covered queries reuse the cached full plan; otherwise approximate
-        // over the covered portion.
-        let generated;
-        let plan = match &prepared.plan {
-            Some(plan) => plan,
-            None => {
-                generated = crate::planner::generate_plan_for_steps(query, graph, coverage, None)?;
-                &generated
-            }
         };
-        execute_with_budget(plan, query, &self.indexes, budget)
+        execute_with_budget(plan, &prepared.query, &self.indexes, budget)
     }
 
     /// EXPLAIN ANALYZE through the whole system: execute `sql` through
@@ -1090,14 +926,16 @@ impl BeasSystem {
     }
 
     /// Validate the whole system state: the database catalog and tables
-    /// ([`Database::check_invariants`]), every constraint index against the
-    /// table it indexes, and the shared plan cache.  O(total rows) —
+    /// ([`Database::check_invariants`]), one index per constraint and none
+    /// other, every constraint index against the table it indexes, `D |= A`
+    /// (every index's largest bucket within its constraint's `N`), and the
+    /// shared plan cache.  O(total rows) —
     /// compiled only into debug builds and `--features validate` builds;
     /// the MVCC and concurrency test suites call it after every mutation
     /// step.
     ///
     /// Plan-cache checks (the cache is shared across forks, so entries may
-    /// belong to another fork's schema epoch):
+    /// belong to another fork's access epoch):
     /// 1. each map respects the capacity bound,
     /// 2. an entry caches a plan exactly when its coverage check passed,
     /// 3. a text entry at this system's epoch — one a lookup here would
@@ -1110,13 +948,21 @@ impl BeasSystem {
     #[cfg(any(debug_assertions, feature = "validate"))]
     pub fn check_invariants(&self) -> Result<()> {
         self.db.check_invariants()?;
-        for (id, index) in self.indexes.iter() {
+        if self.indexes.len() != self.schema.len() {
+            return Err(BeasError::storage("an index without a constraint"));
+        }
+        for c in self.schema.constraints() {
+            let index = self.indexes.for_constraint(c);
+            let index = index.ok_or_else(|| BeasError::storage(format!("{c} has no index")))?;
             let table = self.db.table(index.table()).map_err(|e| {
-                BeasError::storage(format!(
-                    "constraint index {id:?} covers a table the database lost: {e}"
-                ))
+                BeasError::storage(format!("the index of {c} covers a lost table: {e}"))
             })?;
             index.check_against_table(table)?;
+            let observed = index.observed_max_cardinality();
+            if observed as u64 > c.n {
+                let msg = format!("the data no longer conforms to {c} (observed {observed})");
+                return Err(BeasError::conformance(msg));
+            }
         }
         let fail = |msg: String| {
             Err(BeasError::storage(format!(
@@ -1140,7 +986,7 @@ impl BeasSystem {
                 }
             }
         }
-        let current = |entry: &PreparedQuery| entry.epoch == self.schema_epoch();
+        let current = |entry: &PreparedQuery| entry.epoch == self.access_epoch;
         for (key, entry) in texts.iter().filter(|(_, e)| current(e)) {
             let fresh = self.prepare_bound(self.bind(key)?, entry.params.clone())?;
             if fresh != **entry {
@@ -1385,7 +1231,7 @@ mod tests {
         // two forks adjusting independently never land on one epoch
         let mut other = loose.fork();
         other.adjust_bounds(2.0).unwrap();
-        assert_ne!(other.schema_epoch(), tight.schema_epoch());
+        assert_ne!(other.access_epoch, tight.access_epoch);
     }
 
     #[test]
@@ -1435,6 +1281,55 @@ mod tests {
         assert!(beas
             .approximate("select region from call where region = 'east'", 100)
             .is_err());
+    }
+
+    #[test]
+    fn approximation_refuses_a_query_with_no_deduced_bound() {
+        // call is covered, t is not: approximating the covered atoms alone
+        // would drop `t.flag = TRUE` and answer with calls whose exact
+        // answer is empty
+        let base = system();
+        let mut db = base.database().clone();
+        db.create_table(
+            TableSchema::new("t", vec![ColumnDef::new("flag", DataType::Bool)]).unwrap(),
+        )
+        .unwrap();
+        db.insert("t", vec![Value::Bool(false)]).unwrap();
+        let beas = BeasSystem::with_schema(db, base.access_schema().clone()).unwrap();
+        let sql = "select distinct call.recnum from call, t \
+            where call.pnum = 'p1' and call.date = '2016-07-04' and t.flag = true";
+        assert!(!beas.check(sql).unwrap().covered);
+        assert!(beas.execute_sql(sql).unwrap().rows.is_empty());
+        let err = beas.approximate(sql, 1_000).unwrap_err();
+        assert_eq!(err.kind(), "not_bounded", "{err}");
+    }
+
+    #[test]
+    fn with_schema_refuses_data_that_breaks_a_bound_and_names_that_constraint() {
+        // key 1 holds three values against a bound of 2
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "r",
+                vec![
+                    ColumnDef::new("k", DataType::Int),
+                    ColumnDef::new("a", DataType::Str),
+                ],
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        for a in ["x", "y", "z"] {
+            db.insert("r", vec![Value::Int(1), Value::str(a)]).unwrap();
+        }
+        let violated = AccessConstraint::new("r", &["k"], &["a"], 2).unwrap();
+        let satisfied = AccessConstraint::new("r", &["a"], &["k"], 1).unwrap();
+        let schema = AccessSchema::from_constraints(vec![satisfied.clone(), violated.clone()]);
+        let err = BeasSystem::with_schema(db, schema).unwrap_err();
+        assert_eq!(err.kind(), "conformance");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("{violated} (observed 3)")), "{msg}");
+        assert!(!msg.contains(&satisfied.to_string()), "{msg}");
     }
 
     #[test]
@@ -1631,45 +1526,6 @@ mod tests {
             "four data writes, no plan prepared twice: {stats}"
         );
         beas.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn bulk_loads_keep_cached_plans_and_ddl_invalidates_them_all() {
-        let mut beas = system();
-        let before = beas.execute_sql(COVERED).unwrap();
-        beas.execute_sql(UNCOVERED).unwrap();
-        // bulk-load outside maintenance, then rebuild indices
-        beas.database_mut()
-            .insert(
-                "call",
-                vec![
-                    Value::str("p0"),
-                    Value::str("rX"),
-                    Value::str("2016-07-04"),
-                    Value::str("west"),
-                    Value::Int(5),
-                ],
-            )
-            .unwrap();
-        beas.rebuild_indexes().unwrap();
-        let after = beas.execute_sql(COVERED).unwrap();
-        assert_eq!(after.rows.len(), before.rows.len() + 1);
-        let stats = beas.plan_cache_stats();
-        assert_eq!((stats.hits, stats.invalidations), (1, 0));
-        // DDL moves the catalog epoch: both cached plans go, each on its
-        // next use
-        beas.database_mut()
-            .create_table(
-                TableSchema::new("extra", vec![ColumnDef::new("x", DataType::Int)]).unwrap(),
-            )
-            .unwrap();
-        assert_eq!(beas.execute_sql(COVERED).unwrap().rows, after.rows);
-        beas.execute_sql(UNCOVERED).unwrap();
-        let stats = beas.plan_cache_stats();
-        assert_eq!((stats.misses, stats.invalidations), (4, 2));
-        beas.database_mut().drop_table("extra").unwrap();
-        beas.execute_sql(COVERED).unwrap();
-        assert_eq!(beas.plan_cache_stats().invalidations, 3);
     }
 
     #[test]

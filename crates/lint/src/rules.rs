@@ -69,7 +69,7 @@ const MUTATORS: &[&str] = &[
 const MUTATION_FACADES: &[&str] = &[
     "crates/storage/",
     "crates/core/src/system.rs",
-    "crates/access/src/maintenance.rs",
+    "crates/core/src/maintenance.rs",
     "crates/access/src/indexes.rs",
 ];
 
@@ -527,8 +527,7 @@ fn check_l004(sig: &[&Token], ctx: &FileContext, findings: &mut Vec<Finding>) {
                 message: format!(
                     "direct storage mutation `.{}(..)` outside the storage \
                      crate / maintenance facade; go through \
-                     `BeasSystem::{{insert_rows,delete_rows,database_mut}}` \
-                     or `Maintainer`",
+                     `BeasSystem::{{insert_rows,delete_rows}}`",
                     t.text
                 ),
             });

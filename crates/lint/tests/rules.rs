@@ -99,7 +99,7 @@ fn l004_clean_through_the_facade_and_inside_it() {
     for facade in [
         "crates/storage/src/table.rs",
         "crates/core/src/system.rs",
-        "crates/access/src/maintenance.rs",
+        "crates/core/src/maintenance.rs",
     ] {
         let inside = lint_fixture("l004_fire.rs", facade);
         assert!(inside.is_empty(), "{facade}: {inside:?}");

@@ -174,7 +174,7 @@ struct Shared {
 ///   drop when their last session unpins them (the `live_generations`
 ///   metric counts the pinned ones).
 /// * The **plan cache is shared across snapshots** (forks keep one cache;
-///   entries are validated against the schema epoch they were prepared
+///   entries are validated against the access epoch they were prepared
 ///   under), so a maintenance write re-prepares no plan at all unless it
 ///   changes a bound.
 ///

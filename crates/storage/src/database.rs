@@ -36,12 +36,6 @@ pub struct Database {
     /// re-stamps only the table it goes through, which is what lets the
     /// per-table statistics memo survive writes to other tables.
     table_generations: HashMap<String, u64>,
-    /// The generation stamped by the last DDL (create/drop table): it
-    /// identifies the *catalog* — which tables exist, with which columns —
-    /// across every clone of this database, and does not move with data
-    /// writes.  Everything derived from the catalog alone (bound queries,
-    /// coverage, bounded plans) stays valid while it stands.
-    catalog_epoch: u64,
     statistics: StatsCache,
     /// Monotonic write-generation counter: bumped by every mutation path
     /// (DDL and any `table_mut` access).  Caches keyed on database contents
@@ -54,7 +48,7 @@ pub struct Database {
     /// with *different* contents.  That uniqueness is what lets state
     /// shared across clones — the `BeasSystem` plan cache under
     /// `fork()`-published service snapshots — treat equal stamps as equal
-    /// contents (or, for [`Database::catalog_epoch`], equal catalogs).
+    /// contents.
     lineage: Arc<AtomicU64>,
 }
 
@@ -77,13 +71,6 @@ impl Database {
         self.generation = self.lineage.fetch_add(1, Ordering::Relaxed) + 1;
     }
 
-    /// The generation stamped by the last create/drop table.  Within one
-    /// lineage, two databases with equal catalog epochs hold the same
-    /// tables with the same schemas, whatever rows they hold.
-    pub fn catalog_epoch(&self) -> u64 {
-        self.catalog_epoch
-    }
-
     /// Create a table from a schema.  Fails if the name is already taken.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<()> {
         let name = schema.name.clone();
@@ -91,7 +78,6 @@ impl Database {
             return Err(BeasError::catalog(format!("table {name:?} already exists")));
         }
         self.bump_generation();
-        self.catalog_epoch = self.generation;
         self.table_generations.insert(name.clone(), self.generation);
         self.tables.insert(name, Table::new(schema));
         Ok(())
@@ -112,7 +98,6 @@ impl Database {
             .remove(&name);
         self.table_generations.remove(&name);
         self.bump_generation();
-        self.catalog_epoch = self.generation;
         Ok(())
     }
 
@@ -226,9 +211,9 @@ impl Database {
     /// Checks:
     /// 1. `table_generations` and `tables` hold exactly the same names, all
     ///    lower-cased,
-    /// 2. no table generation, and not the catalog epoch, exceeds the
-    ///    database generation (all are stamped from the same lineage
-    ///    allocator, so neither can be *newer* than the database),
+    /// 2. no table generation exceeds the database generation (both are
+    ///    stamped from the same lineage allocator, so a table cannot be
+    ///    *newer* than the database),
     /// 3. every memoized statistics entry refers to a live table and, when
     ///    its generation is current, agrees with that table's row count,
     /// 4. every table's own invariants hold ([`Table::check_invariants`]).
@@ -257,12 +242,6 @@ impl Database {
                     self.generation
                 ));
             }
-        }
-        if self.catalog_epoch > self.generation {
-            return fail(format!(
-                "catalog epoch {} exceeds database generation {}",
-                self.catalog_epoch, self.generation
-            ));
         }
         {
             let cache = self.statistics.0.lock().expect("stats cache lock");
@@ -398,15 +377,9 @@ mod tests {
             .unwrap();
         let g1 = db.generation();
         assert!(g1 > g0);
-        assert_eq!(db.catalog_epoch(), g1);
         db.insert("t", vec![Value::Int(1)]).unwrap();
         let g2 = db.generation();
         assert!(g2 > g1);
-        assert_eq!(
-            db.catalog_epoch(),
-            g1,
-            "data writes leave the catalog alone"
-        );
         db.insert_many("t", vec![vec![Value::Int(2)]]).unwrap();
         let g3 = db.generation();
         assert!(g3 > g2);
@@ -415,8 +388,6 @@ mod tests {
         assert!(g4 > g3);
         db.drop_table("t").unwrap();
         assert!(db.generation() > g4);
-        // only the DDL steps moved the catalog epoch
-        assert!(db.catalog_epoch() > g4);
         // reads do not bump
         let mut db2 = Database::new();
         db2.create_table(TableSchema::new("t", vec![ColumnDef::new("x", DataType::Int)]).unwrap())

@@ -2,14 +2,16 @@
 //! services (demo scenario 1(d)).
 //!
 //! Discovers an access schema from the TLC data and its query workload under
-//! a storage budget, registers it with the catalog, then exercises
-//! incremental maintenance under inserts and a bound re-adjustment pass.
+//! a storage budget and registers it with the catalog.  One `BeasSystem`
+//! then takes the data, the schema and the indices, checks the workload's
+//! coverage, and exercises incremental maintenance under inserts and a bound
+//! re-adjustment pass.
 //!
 //! ```bash
 //! cargo run --release --example access_discovery
 //! ```
 
-use beas::access::{AsCatalog, MaintenancePolicy};
+use beas::access::{check_conformance, AsCatalog, MaintenancePolicy};
 use beas::core::{discover, DiscoveryConfig};
 use beas::prelude::*;
 
@@ -31,12 +33,16 @@ fn main() -> Result<()> {
         report.selected.len(),
         report.total_bytes / 1024
     );
-    let (schema, indexes) = (registered.schema.clone(), registered.indexes.clone());
-    println!("\ndiscovered access schema:\n{schema}");
+    println!("\ndiscovered access schema:\n{}", registered.schema);
     println!("\ncatalog metadata:\n{}", catalog.metadata_text());
 
+    // One system owns the data, the schema and the indices the catalog
+    // built; every later write goes through it.
+    let registered = catalog.get("tlc").expect("registered above");
+    let mut system = BeasSystem::new(db, registered.schema.clone(), registered.indexes.clone())
+        .with_maintenance_policy(MaintenancePolicy::AutoAdjust);
+
     // How much of the workload does the discovered schema cover?
-    let system = BeasSystem::with_schema(db.clone(), schema.clone())?;
     let covered = workload
         .iter()
         .filter(|sql| system.check(sql).map(|r| r.covered).unwrap_or(false))
@@ -47,29 +53,26 @@ fn main() -> Result<()> {
     );
 
     // Incremental maintenance: insert new call records and keep indices fresh.
-    let mut db = db;
-    let mut schema = schema;
-    let mut indexes = indexes;
-    let maintainer = catalog.maintainer(MaintenancePolicy::AutoAdjust);
-    let new_calls: Vec<beas::common::Row> = (0..100)
+    let calls = system.database().table("call")?;
+    let new_calls: Vec<Row> = (0..100)
         .map(|i| {
-            let mut row = db.table("call").unwrap().row(i).unwrap().clone();
+            let mut row = calls.row(i).unwrap().clone();
             row[2] = Value::str("2016-07-28"); // a fresh day
             row
         })
         .collect();
-    let outcome = maintainer.insert_rows(&mut db, &mut schema, &mut indexes, "call", new_calls)?;
+    let outcome = system.insert_rows("call", new_calls)?;
     println!(
-        "\nmaintenance: inserted {} rows, adjusted {} bounds, flagged {} violations",
+        "\nmaintenance: inserted {} rows, adjusted {} bounds",
         outcome.rows_affected,
-        outcome.adjusted.len(),
-        outcome.flagged.len()
+        outcome.adjusted.len()
     );
 
-    // Periodic re-validation and bound adjustment.
-    let conformance = maintainer.revalidate(&db, &schema)?;
+    // Conformance by a scan of the data, then bounds re-adjusted from the
+    // maxima the indices keep.
+    let conformance = check_conformance(system.database(), system.access_schema())?;
     println!("\nconformance after maintenance:\n{conformance}");
-    let changes = maintainer.adjust_bounds(&db, &mut schema, 1.5)?;
+    let changes = system.adjust_bounds(1.5)?;
     println!("bound adjustments (id, old, new): {changes:?}");
     Ok(())
 }

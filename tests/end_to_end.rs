@@ -190,47 +190,18 @@ fn discovered_schema_supports_bounded_evaluation() {
 }
 
 #[test]
-fn maintenance_keeps_bounded_answers_correct_under_updates() {
-    let mut db = beas::tlc::generate(&beas::tlc::TlcConfig::at_scale(1)).unwrap();
-    let mut schema = beas::tlc::tlc_access_schema();
-    let mut indexes = beas::access::build_indexes(&db, &schema).unwrap();
-    let maintainer = beas::access::Maintainer::new(beas::access::MaintenancePolicy::AutoAdjust);
-
-    // Insert fresh call records for a bank number on the benchmark date.
-    let new_rows: Vec<Row> = db
-        .table("call")
-        .unwrap()
-        .rows_iter()
-        .take(50)
-        .cloned()
-        .collect();
-    maintainer
-        .insert_rows(&mut db, &mut schema, &mut indexes, "call", new_rows)
-        .unwrap();
-    // Delete some of the original rows.
-    maintainer
-        .delete_rows(&mut db, &schema, &mut indexes, "call", |r| {
-            r[4].as_int().unwrap_or(0) % 97 == 0
-        })
-        .unwrap();
-
-    let system = BeasSystem::new(db.clone(), schema.clone(), indexes);
-    let (btype, region, pid, date) = beas::tlc::default_params();
-    let q1 = beas::tlc::example2_query(btype, region, pid, date);
-    let outcome = system.execute_sql(&q1).unwrap();
-    let baseline = Engine::default().run(&db, &q1).unwrap();
-    assert_eq!(sorted(outcome.rows), sorted(distinct(baseline.rows)));
-}
-
-#[test]
 fn conformance_violations_are_detected_on_tlc_data() {
     let db = beas::tlc::generate(&beas::tlc::TlcConfig::at_scale(1)).unwrap();
     // An absurdly tight bound must be reported as a violation.
     let mut schema = beas::tlc::tlc_access_schema();
-    schema.add(beas::access::AccessConstraint::new("call", &["region"], &["pnum"], 1).unwrap());
+    let tight = beas::access::AccessConstraint::new("call", &["region"], &["pnum"], 1).unwrap();
+    schema.add(tight.clone());
     let report = beas::access::check_conformance(&db, &schema).unwrap();
     assert!(!report.conforms());
-    assert!(beas::access::require_conformance(&db, &schema).is_err());
+    // and a system over that data is refused, naming the constraint
+    let err = BeasSystem::with_schema(db, schema).unwrap_err();
+    assert_eq!(err.kind(), "conformance");
+    assert!(err.to_string().contains(&tight.to_string()), "{err}");
 }
 
 /// Bounded plans that were only right for some parameter vectors: each

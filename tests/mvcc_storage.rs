@@ -7,7 +7,7 @@
 //! index buckets must equal a rebuild after every step; forks must copy no
 //! rows and no index buckets; one maintenance round must copy the same
 //! amount at scale 1 and at scale 8; and cached plans must survive data
-//! writes and fall to schema changes.
+//! writes and fall to bound changes.
 
 use beas::access::MaintenanceOutcome;
 use beas::prelude::*;
@@ -549,9 +549,9 @@ fn a_maintenance_round_copies_the_same_at_scale_1_and_scale_8() {
 }
 
 /// The plan cache's contract end to end: a cached plan is a function of the
-/// catalog and the access schema, so data writes — to any table, its own
-/// included — leave it serving hits with fresh answers, and a bound
-/// adjustment or DDL invalidates every plan.
+/// access schema (no table is created or dropped under a system), so data
+/// writes — to any table, its own included — leave it serving hits with
+/// fresh answers, and a bound adjustment invalidates every plan.
 #[test]
 fn cached_plans_survive_data_writes_and_fall_to_schema_changes() {
     let db = beas::tlc::generate(&beas::tlc::TlcConfig::at_scale(1)).unwrap();
@@ -607,21 +607,6 @@ fn cached_plans_survive_data_writes_and_fall_to_schema_changes() {
     let stats = system.plan_cache_stats();
     assert_eq!((stats.misses, stats.invalidations), (4, 2), "{stats}");
 
-    // so does DDL
-    system
-        .database_mut()
-        .create_table(
-            TableSchema::new(
-                "scratch",
-                vec![beas::common::ColumnDef::new("x", DataType::Int)],
-            )
-            .unwrap(),
-        )
-        .unwrap();
-    system.execute_sql(q).unwrap();
-    system.execute_sql(other).unwrap();
-    let stats = system.plan_cache_stats();
-    assert_eq!((stats.misses, stats.invalidations), (6, 4), "{stats}");
     // maintenance writes left tables, indexes and the plan cache coherent
     check_system(&system);
 }
